@@ -29,13 +29,15 @@ bench-json:
 
 # The determinism gate CI runs as its own job: golden fingerprints, the
 # serial-vs-sharded twin comparison (including mid-run hysteresis flips
-# of the adaptive dispatch policy), and the registry-wide worker sweep,
+# of the adaptive dispatch policy), the registry-wide worker sweep, and
+# the byte-identity golden over every registry entry's report and CSVs,
 # all under the race detector so the parallel stepper's barrier and
 # merge paths are checked for memory-model bugs, not just for byte-equal
 # results.
 determinism:
 	$(GO) test -race -run 'TestSharded|TestShardPartition|TestTracingForcesSerial|TestAdaptiveDispatchFlipsMidRun' ./internal/router/
 	$(GO) test -race -run 'TestDeterminism|TestShardedSteppingAcrossRegistry' .
+	$(GO) test -race -run 'TestRegistryOutputGolden' ./internal/experiments/
 
 # lint is the full static gate: formatting, the standard vet suite, the
 # determinism-contract suite, the experiment-spec round trip, and (when
