@@ -10,7 +10,7 @@
 //	table   the tuning decision table (table 1)
 //	compare all congestion control schemes on one workload, multi-seed
 //
-//	list             named experiments (tab1, fig1..fig7, ext1..ext12)
+//	list             named experiments (tab1, fig1..fig7, ext1..ext14)
 //	describe <name>  one experiment's purpose and grid
 //	emit-spec <name> write an experiment's serialized spec (JSON) to stdout
 //	spec-roundtrip   verify every registry spec survives JSON round-tripping

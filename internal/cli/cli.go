@@ -10,6 +10,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"runtime"
@@ -54,7 +55,7 @@ func Main(args []string) int {
 	case "trace":
 		err = cmdTrace(args[1:])
 	case "table":
-		err = cmdTable(args[1:])
+		err = cmdTable(os.Stdout, args[1:])
 	case "compare":
 		err = cmdCompare(args[1:])
 	case "list":
@@ -99,7 +100,7 @@ simulation:
   compare all congestion control schemes on one workload, multi-seed
 
 experiment registry:
-  list             named experiments (tab1, fig1..fig7, ext1..ext12)
+  list             named experiments (tab1, fig1..fig7, ext1..ext14)
   describe <name>  one experiment's purpose and grid
   emit-spec <name> write an experiment's serialized spec (JSON) to stdout
   spec-roundtrip   verify every registry spec survives JSON round-tripping
@@ -548,11 +549,13 @@ func cmdCompare(args []string) error {
 	})
 }
 
-func cmdTable(args []string) error {
+// cmdTable prints Table 1 through its registry entry, so "stcc table"
+// and "stcc-paper -exp tab1" share one print path.
+func cmdTable(w io.Writer, args []string) error {
 	fs := flag.NewFlagSet("table", flag.ExitOnError)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	experiments.PrintTable1(os.Stdout, experiments.Table1())
-	return nil
+	e, _ := experiments.Lookup("tab1")
+	return e.Run(experiments.RunContext{Out: w})
 }

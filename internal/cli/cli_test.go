@@ -1,6 +1,7 @@
 package cli
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"flag"
@@ -99,8 +100,16 @@ func TestCmdTrace(t *testing.T) {
 }
 
 func TestCmdTable(t *testing.T) {
-	if err := cmdTable(nil); err != nil {
+	var got, want bytes.Buffer
+	if err := cmdTable(&got, nil); err != nil {
 		t.Fatal(err)
+	}
+	e, _ := experiments.Lookup("tab1")
+	if err := e.Run(experiments.RunContext{Out: &want}); err != nil {
+		t.Fatal(err)
+	}
+	if got.Len() == 0 || got.String() != want.String() {
+		t.Errorf("stcc table printed %q, want the tab1 report %q", got.String(), want.String())
 	}
 }
 

@@ -1,19 +1,20 @@
-// Package experiments contains one driver per table and figure of the
-// paper's evaluation (Section 5), each returning typed rows that the
-// benchmark harness and the stcc-paper command print or write as CSV.
-// Drivers are deterministic for a given Scale and seed, regardless of
-// how many Runner workers execute the grid.
-//
-// Every driver is built from a declarative Spec — a serializable grid
-// of (label, sim.Config) points — so the same grid can be executed in
-// process (Runner.RunSpec), emitted as JSON ("stcc emit-spec"), and
-// content-addressed for the result cache. The registry in registry.go
-// names each driver so figures run as "stcc-paper -exp fig3" or
-// through "stcc list / describe / emit-spec".
+// Package experiments contains the paper's evaluation (Section 5) and
+// this repo's extension studies as a registry of named experiments.
+// Each registry entry is a declarative Spec — a serializable grid of
+// (label, sim.Config) points — plus a report that turns the grid's
+// results into the rows the paper prints and the CSV files it plots.
+// The same grid can be executed in process (Entry.Run, or
+// Runner.RunSpec for any spec), emitted as JSON ("stcc emit-spec"), and
+// content-addressed for the result cache. Reports read everything they
+// print — rates, deadlock modes, names — from the spec's own points, so
+// a caller who wants a different grid edits the Spec data, not a
+// parameter. Results are deterministic for a given Scale and seed,
+// regardless of how many Runner workers execute the grid.
 package experiments
 
 import (
 	"fmt"
+	"io"
 
 	"repro/internal/router"
 	"repro/internal/sim"
@@ -45,6 +46,10 @@ var (
 // sits near 0.02-0.025.
 var DefaultRates = []float64{0.005, 0.01, 0.015, 0.02, 0.025, 0.03, 0.04, 0.06}
 
+// deadlockModes is the order in which two-mode figures (3 and 7) lay
+// out their grids and print their reports.
+var deadlockModes = []router.DeadlockMode{router.Recovery, router.Avoidance}
+
 // baseConfig returns the paper's network with the given scale applied.
 func baseConfig(s Scale) sim.Config {
 	cfg := sim.NewConfig()
@@ -62,11 +67,6 @@ type RatePoint struct {
 	Full     float64 // mean full buffers
 }
 
-func point(r sim.Result, rate float64) RatePoint {
-	return RatePoint{Rate: rate, Accepted: r.AcceptedFlits, Latency: r.AvgNetworkLatency,
-		Recov: r.Recoveries, Full: r.AvgFullBuffers}
-}
-
 // Curve is a named rate sweep.
 type Curve struct {
 	Name   string
@@ -74,10 +74,10 @@ type Curve struct {
 }
 
 // rateGroup builds one curve's worth of spec points: the same config at
-// every rate, labeled "<label prefix>rate <rate>".
-func rateGroup(name, labelPrefix string, rates []float64, cfg func(rate float64) sim.Config) Group {
+// every default rate, labeled "<label prefix>rate <rate>".
+func rateGroup(name, labelPrefix string, cfg func(rate float64) sim.Config) Group {
 	g := Group{Name: name}
-	for _, rate := range rates {
+	for _, rate := range DefaultRates {
 		g.Points = append(g.Points, Point{
 			Label:  fmt.Sprintf("%srate %g", labelPrefix, rate),
 			Config: cfg(rate),
@@ -86,44 +86,58 @@ func rateGroup(name, labelPrefix string, rates []float64, cfg func(rate float64)
 	return g
 }
 
-// specCurves maps grouped results back to curves: one group per curve,
-// one point per rate.
-func specCurves(spec *Spec, rates []float64, grouped [][]sim.Result) []Curve {
-	curves := make([]Curve, 0, len(spec.Groups))
-	for gi, g := range spec.Groups {
+// specCurves maps grouped results back to curves: one curve per group,
+// named after it, one point per grid point at the point's own rate.
+func specCurves(groups []Group, grouped [][]sim.Result) []Curve {
+	curves := make([]Curve, 0, len(groups))
+	for gi, g := range groups {
 		c := Curve{Name: g.Name}
-		for ri, rate := range rates {
-			c.Points = append(c.Points, point(grouped[gi][ri], rate))
+		for pi, p := range g.Points {
+			r := grouped[gi][pi]
+			c.Points = append(c.Points, RatePoint{Rate: p.Config.Rate, Accepted: r.AcceptedFlits,
+				Latency: r.AvgNetworkLatency, Recov: r.Recoveries, Full: r.AvgFullBuffers})
 		}
 		curves = append(curves, c)
 	}
 	return curves
 }
 
-// runCurves executes a curve-shaped spec and assembles the curves.
-func (r Runner) runCurves(spec *Spec, rates []float64) ([]Curve, error) {
-	grouped, err := r.RunSpec(spec)
-	if err != nil {
-		return nil, err
-	}
-	return specCurves(spec, rates, grouped), nil
+// reportCurves is the report of every rate-sweep experiment whose
+// groups are its curves: a text table titled "<name>: <title>" and
+// <name>.csv.
+func reportCurves(ctx RunContext, spec *Spec, grouped [][]sim.Result) error {
+	curves := specCurves(spec.Groups, grouped)
+	PrintCurves(ctx.Out, spec.Name+": "+spec.Title, curves)
+	return ctx.csv(spec.Name+".csv", func(w io.Writer) error { return WriteCurvesCSV(w, curves) })
 }
 
-// Fig1 reproduces Figure 1: performance breakdown at network saturation.
+// byMode splits a spec laid out mode by mode (figures 3 and 7) into its
+// consecutive runs of groups that share one deadlock mode, and calls fn
+// on each in spec order.
+func byMode(spec *Spec, grouped [][]sim.Result, fn func(mode router.DeadlockMode, groups []Group, grouped [][]sim.Result) error) error {
+	for lo := 0; lo < len(spec.Groups); {
+		mode := spec.Groups[lo].Points[0].Config.Mode
+		hi := lo + 1
+		for hi < len(spec.Groups) && spec.Groups[hi].Points[0].Config.Mode == mode {
+			hi++
+		}
+		if err := fn(mode, spec.Groups[lo:hi], grouped[lo:hi]); err != nil {
+			return err
+		}
+		lo = hi
+	}
+	return nil
+}
+
+// fig1Spec is Figure 1: performance breakdown at network saturation.
 // Base configuration (no congestion control), deadlock recovery, 16-ary
 // 2-cube, for uniform random and butterfly patterns: delivered bandwidth
 // collapses past the (pattern-dependent) saturation point.
-func Fig1(s Scale, rates []float64) ([]Curve, error) { return Runner{}.Fig1(s, rates) }
-
-// Fig1Spec is Figure 1's declarative grid.
-func Fig1Spec(s Scale, rates []float64) *Spec {
-	if rates == nil {
-		rates = DefaultRates
-	}
+func fig1Spec(s Scale) *Spec {
 	spec := NewSpec("fig1", "saturation collapse (base, recovery)")
 	for _, pat := range []traffic.PatternKind{traffic.UniformRandom, traffic.Butterfly} {
 		pat := pat
-		spec.Groups = append(spec.Groups, rateGroup(string(pat), string(pat)+" ", rates,
+		spec.Groups = append(spec.Groups, rateGroup(string(pat), string(pat)+" ",
 			func(rate float64) sim.Config {
 				cfg := baseConfig(s)
 				cfg.Pattern = pat
@@ -132,14 +146,6 @@ func Fig1Spec(s Scale, rates []float64) *Spec {
 			}))
 	}
 	return spec
-}
-
-// Fig1 runs the Figure 1 grid on this runner's worker pool.
-func (r Runner) Fig1(s Scale, rates []float64) ([]Curve, error) {
-	if rates == nil {
-		rates = DefaultRates
-	}
-	return r.runCurves(Fig1Spec(s, rates), rates)
 }
 
 // Fig2Point is one (full buffers, throughput) sample of the Figure 2
@@ -151,19 +157,13 @@ type Fig2Point struct {
 	Throughput  float64 // flits/node/cycle
 }
 
-// Fig2 reproduces the throughput-vs-full-buffers relationship that
+// fig2Spec reproduces the throughput-vs-full-buffers relationship that
 // motivates using the full-buffer count as the tuning knob (the paper's
 // conceptual Figure 2), by sweeping offered load on the base
 // configuration and recording where each run settles.
-func Fig2(s Scale, rates []float64) ([]Fig2Point, error) { return Runner{}.Fig2(s, rates) }
-
-// Fig2Spec is Figure 2's declarative grid.
-func Fig2Spec(s Scale, rates []float64) *Spec {
-	if rates == nil {
-		rates = DefaultRates
-	}
+func fig2Spec(s Scale) *Spec {
 	spec := NewSpec("fig2", "throughput vs full buffers (base, recovery)")
-	spec.Groups = append(spec.Groups, rateGroup("", "", rates, func(rate float64) sim.Config {
+	spec.Groups = append(spec.Groups, rateGroup("", "", func(rate float64) sim.Config {
 		cfg := baseConfig(s)
 		cfg.Rate = rate
 		return cfg
@@ -171,57 +171,52 @@ func Fig2Spec(s Scale, rates []float64) *Spec {
 	return spec
 }
 
-// Fig2 runs the Figure 2 sweep on this runner's worker pool.
-func (r Runner) Fig2(s Scale, rates []float64) ([]Fig2Point, error) {
-	if rates == nil {
-		rates = DefaultRates
+func reportFig2(ctx RunContext, spec *Spec, grouped [][]sim.Result) error {
+	var pts []Fig2Point
+	for i, p := range spec.Points() {
+		res := grouped[0][i]
+		pts = append(pts, Fig2Point{Rate: p.Config.Rate, FullBuffers: res.AvgFullBuffers, Throughput: res.AcceptedFlits})
 	}
-	grouped, err := r.RunSpec(Fig2Spec(s, rates))
-	if err != nil {
-		return nil, err
-	}
-	pts := make([]Fig2Point, len(rates))
-	for i, res := range grouped[0] {
-		pts[i] = Fig2Point{Rate: rates[i], FullBuffers: res.AvgFullBuffers, Throughput: res.AcceptedFlits}
-	}
-	return pts, nil
+	PrintFig2(ctx.Out, pts)
+	return ctx.csv("fig2.csv", func(w io.Writer) error { return WriteFig2CSV(w, pts) })
 }
 
-// Fig3Curves reproduces Figure 3: throughput and latency vs offered load
-// for Base, ALO and Tune, under the given deadlock mode. The returned
-// curves carry both throughput and latency per point ((a)+(b) for
-// recovery, (c)+(d) for avoidance).
-func Fig3Curves(s Scale, mode router.DeadlockMode, rates []float64) ([]Curve, error) {
-	return Runner{}.Fig3Curves(s, mode, rates)
-}
-
-// Fig3Spec is Figure 3's declarative grid for one deadlock mode.
-func Fig3Spec(s Scale, mode router.DeadlockMode, rates []float64) *Spec {
-	if rates == nil {
-		rates = DefaultRates
-	}
-	spec := NewSpec("fig3", "overall performance, "+mode.String())
-	for _, sch := range []sim.Scheme{{Kind: sim.Base}, {Kind: sim.ALO}, {Kind: sim.SelfTuned}} {
-		sch := sch
-		spec.Groups = append(spec.Groups, rateGroup(string(sch.Kind),
-			fmt.Sprintf("%s/%v ", sch.Kind, mode), rates,
-			func(rate float64) sim.Config {
-				cfg := baseConfig(s)
-				cfg.Mode = mode
-				cfg.Rate = rate
-				cfg.Scheme = sch
-				return cfg
-			}))
+// fig3Spec is Figure 3: throughput and latency vs offered load for
+// Base, ALO and Tune, under deadlock recovery ((a)+(b)) and then
+// deadlock avoidance ((c)+(d)), as one grid.
+func fig3Spec(s Scale) *Spec {
+	spec := NewSpec("fig3", "overall performance")
+	for _, mode := range deadlockModes {
+		for _, sch := range []sim.Scheme{{Kind: sim.Base}, {Kind: sim.ALO}, {Kind: sim.SelfTuned}} {
+			mode, sch := mode, sch
+			spec.Groups = append(spec.Groups, rateGroup(
+				fmt.Sprintf("overall performance, %v: %s", mode, sch.Kind),
+				fmt.Sprintf("%s/%v ", sch.Kind, mode),
+				func(rate float64) sim.Config {
+					cfg := baseConfig(s)
+					cfg.Mode = mode
+					cfg.Rate = rate
+					cfg.Scheme = sch
+					return cfg
+				}))
+		}
 	}
 	return spec
 }
 
-// Fig3Curves runs the Figure 3 grid on this runner's worker pool.
-func (r Runner) Fig3Curves(s Scale, mode router.DeadlockMode, rates []float64) ([]Curve, error) {
-	if rates == nil {
-		rates = DefaultRates
-	}
-	return r.runCurves(Fig3Spec(s, mode, rates), rates)
+// reportFig3 prints one curve table and one CSV per deadlock mode, each
+// curve named after its scheme.
+func reportFig3(ctx RunContext, spec *Spec, grouped [][]sim.Result) error {
+	return byMode(spec, grouped, func(mode router.DeadlockMode, groups []Group, grouped [][]sim.Result) error {
+		curves := specCurves(groups, grouped)
+		for i := range curves {
+			curves[i].Name = string(groups[i].Points[0].Config.Scheme.Kind)
+		}
+		PrintCurves(ctx.Out, "fig3: overall performance, "+mode.String(), curves)
+		return ctx.csv("fig3_"+mode.String()+".csv", func(w io.Writer) error {
+			return WriteCurvesCSV(w, curves)
+		})
+	})
 }
 
 // Fig4Trace is one self-tuning run's threshold/throughput trajectory.
@@ -234,28 +229,22 @@ type Fig4Trace struct {
 	Throughput []float64
 }
 
-// Fig4 reproduces Figure 4: threshold and throughput vs time for hill
+// fig4Spec is Figure 4: threshold and throughput vs time for hill
 // climbing only versus hill climbing plus local-maximum avoidance, on the
 // deadlock-avoidance configuration with a fixed packet regeneration
 // interval. The paper uses 100 cycles, which saturates flexsim's network;
-// this simulator saturates at roughly twice that load, so the default
+// this simulator saturates at roughly twice that load, so the interval
 // here is 50 cycles (0.02 packets/node/cycle) to reproduce the same
-// operating point.
-func Fig4(s Scale, regenInterval int64) ([]Fig4Trace, error) { return Runner{}.Fig4(s, regenInterval) }
-
-// Fig4Spec is Figure 4's declarative grid. The fixed-interval workload
-// is carried as a ScheduleSpec, so the grid serializes.
-func Fig4Spec(s Scale, regenInterval int64) *Spec {
-	if regenInterval <= 0 {
-		regenInterval = 50
-	}
+// operating point. The fixed-interval workload is carried as a
+// ScheduleSpec, so the grid serializes.
+func fig4Spec(s Scale) *Spec {
 	spec := NewSpec("fig4", "self-tuning operation (avoidance, periodic regeneration)")
 	g := Group{}
 	for _, kind := range []sim.SchemeKind{sim.HillClimbOnly, sim.SelfTuned} {
 		cfg := baseConfig(s)
 		cfg.Mode = router.Avoidance
 		cfg.ScheduleSpec = traffic.SteadySpec(traffic.UniformRandom,
-			traffic.ProcessSpec{Kind: traffic.PeriodicProcess, Interval: regenInterval})
+			traffic.ProcessSpec{Kind: traffic.PeriodicProcess, Interval: 50})
 		cfg.Scheme = sim.Scheme{Kind: kind, KeepTrace: true}
 		g.Points = append(g.Points, Point{Label: string(kind), Config: cfg})
 	}
@@ -263,14 +252,9 @@ func Fig4Spec(s Scale, regenInterval int64) *Spec {
 	return spec
 }
 
-// Fig4 runs both Figure 4 configurations on this runner's worker pool.
-func (r Runner) Fig4(s Scale, regenInterval int64) ([]Fig4Trace, error) {
-	spec := Fig4Spec(s, regenInterval)
-	grouped, err := r.RunSpec(spec)
-	if err != nil {
-		return nil, err
-	}
-	points := spec.Groups[0].Points
+// fig4Traces maps each point's tuner trace to a named trajectory.
+func fig4Traces(spec *Spec, grouped [][]sim.Result) ([]Fig4Trace, error) {
+	points := spec.Points()
 	traces := make([]Fig4Trace, 0, len(points))
 	for i, p := range points {
 		topo, err := p.Config.Topology()
@@ -293,7 +277,20 @@ func (r Runner) Fig4(s Scale, regenInterval int64) ([]Fig4Trace, error) {
 	return traces, nil
 }
 
-// Fig5 reproduces Figure 5: static thresholds versus self-tuning, on the
+// reportFig4 prints a decimated view; the CSV has every period.
+func reportFig4(ctx RunContext, spec *Spec, grouped [][]sim.Result) error {
+	traces, err := fig4Traces(spec, grouped)
+	if err != nil {
+		return err
+	}
+	for _, tr := range traces {
+		fmt.Fprintf(ctx.Out, "fig4 trace %s: %d periods, final threshold %.1f\n",
+			tr.Name, len(tr.Cycle), tr.Threshold[len(tr.Threshold)-1])
+	}
+	return ctx.csv("fig4.csv", func(w io.Writer) error { return WriteFig4CSV(w, traces) })
+}
+
+// fig5Spec is Figure 5: static thresholds versus self-tuning, on the
 // deadlock-recovery configuration, for uniform random and butterfly.
 // A threshold that suits one pattern fails the other; Tune adapts.
 //
@@ -303,13 +300,7 @@ func (r Runner) Fig4(s Scale, regenInterval int64) ([]Fig4Trace, error) {
 // uniform random, degraded for butterfly — and 50, which over-throttles
 // random but suits butterfly. Both pairs are exercised so the paper's
 // original numbers remain visible.
-func Fig5(s Scale, rates []float64) ([]Curve, error) { return Runner{}.Fig5(s, rates) }
-
-// Fig5Spec is Figure 5's declarative grid.
-func Fig5Spec(s Scale, rates []float64) *Spec {
-	if rates == nil {
-		rates = DefaultRates
-	}
+func fig5Spec(s Scale) *Spec {
 	schemes := []struct {
 		name string
 		sch  sim.Scheme
@@ -324,7 +315,7 @@ func Fig5Spec(s Scale, rates []float64) *Spec {
 		for _, sc := range schemes {
 			pat, sc := pat, sc
 			name := string(pat) + "/" + sc.name
-			spec.Groups = append(spec.Groups, rateGroup(name, name+" ", rates,
+			spec.Groups = append(spec.Groups, rateGroup(name, name+" ",
 				func(rate float64) sim.Config {
 					cfg := baseConfig(s)
 					cfg.Pattern = pat
@@ -337,14 +328,6 @@ func Fig5Spec(s Scale, rates []float64) *Spec {
 	return spec
 }
 
-// Fig5 runs the Figure 5 grid on this runner's worker pool.
-func (r Runner) Fig5(s Scale, rates []float64) ([]Curve, error) {
-	if rates == nil {
-		rates = DefaultRates
-	}
-	return r.runCurves(Fig5Spec(s, rates), rates)
-}
-
 // Fig6Row describes one phase of the bursty workload of Figure 6.
 type Fig6Row struct {
 	StartCycle int64
@@ -353,21 +336,21 @@ type Fig6Row struct {
 	Rate       float64 // packets/node/cycle
 }
 
-// Fig6ScheduleSpec is the declarative bursty workload of Figure 6 at the
+// fig6Schedule is the declarative bursty workload of Figure 6 at the
 // given scale: alternating low-load uniform-random phases and high-load
 // bursts whose pattern changes each burst.
-func Fig6ScheduleSpec(s Scale) *traffic.ScheduleSpec {
+func fig6Schedule(s Scale) *traffic.ScheduleSpec {
 	return traffic.PaperBurstySpec(traffic.PaperBurstyOptions{
 		LowDuration: s.BurstLow, HighDuration: s.BurstHigh,
 	})
 }
 
-// Fig6 returns the offered bursty load schedule, both as printable rows
-// and as the live schedule the Figure 7 runs consume.
-func Fig6(s Scale) ([]Fig6Row, *traffic.Schedule, error) {
-	sched, err := Fig6ScheduleSpec(s).Build(256)
+// fig6Rows lists the phases of the Figure 6 schedule on the paper's
+// 256-node network.
+func fig6Rows(s Scale) ([]Fig6Row, error) {
+	sched, err := fig6Schedule(s).Build(256)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	var rows []Fig6Row
 	var at int64
@@ -378,7 +361,18 @@ func Fig6(s Scale) ([]Fig6Row, *traffic.Schedule, error) {
 		})
 		at += ph.Duration
 	}
-	return rows, sched, nil
+	return rows, nil
+}
+
+// reportFig6 prints the offered load schedule; Figure 6 is analytic, so
+// it reads the scale from ctx rather than from grid points.
+func reportFig6(ctx RunContext, _ *Spec, _ [][]sim.Result) error {
+	rows, err := fig6Rows(ctx.Scale)
+	if err != nil {
+		return err
+	}
+	PrintFig6(ctx.Out, rows)
+	return nil
 }
 
 // Fig7Series is delivered throughput over time for one scheme under the
@@ -392,49 +386,57 @@ type Fig7Series struct {
 	AvgTotal   float64   // cycles, including source queueing
 }
 
-// Fig7 reproduces Figure 7: delivered throughput under the bursty load
-// for Base, ALO and Tune in the given deadlock mode.
-func Fig7(s Scale, mode router.DeadlockMode) ([]Fig7Series, error) { return Runner{}.Fig7(s, mode) }
-
-// Fig7Spec is Figure 7's declarative grid: each point carries the
-// Figure 6 workload as a ScheduleSpec, so the grid serializes and every
-// engine compiles an identical schedule.
-func Fig7Spec(s Scale, mode router.DeadlockMode) *Spec {
-	sched := Fig6ScheduleSpec(s)
-	spec := NewSpec("fig7", "performance under bursty load, "+mode.String())
-	g := Group{}
-	for _, sch := range []sim.Scheme{{Kind: sim.Base}, {Kind: sim.ALO}, {Kind: sim.SelfTuned}} {
-		cfg := baseConfig(s)
-		cfg.Mode = mode
-		cfg.ScheduleSpec = sched
-		cfg.WarmupCycles = 0
-		cfg.MeasureCycles = sched.TotalDuration()
-		cfg.SampleInterval = 1024
-		cfg.Scheme = sch
-		g.Points = append(g.Points, Point{Label: fmt.Sprintf("%s/%v", sch.Kind, mode), Config: cfg})
+// fig7Spec is Figure 7: delivered throughput under the bursty load for
+// Base, ALO and Tune, one group per deadlock mode. Each point carries
+// the Figure 6 workload as a ScheduleSpec, so the grid serializes and
+// every engine compiles an identical schedule.
+func fig7Spec(s Scale) *Spec {
+	sched := fig6Schedule(s)
+	spec := NewSpec("fig7", "performance under bursty load")
+	for _, mode := range deadlockModes {
+		g := Group{Name: "performance under bursty load, " + mode.String() + ": "}
+		for _, sch := range []sim.Scheme{{Kind: sim.Base}, {Kind: sim.ALO}, {Kind: sim.SelfTuned}} {
+			cfg := baseConfig(s)
+			cfg.Mode = mode
+			cfg.ScheduleSpec = sched
+			cfg.WarmupCycles = 0
+			cfg.MeasureCycles = sched.TotalDuration()
+			cfg.SampleInterval = 1024
+			cfg.Scheme = sch
+			g.Points = append(g.Points, Point{Label: fmt.Sprintf("%s/%v", sch.Kind, mode), Config: cfg})
+		}
+		spec.Groups = append(spec.Groups, g)
 	}
-	spec.Groups = append(spec.Groups, g)
 	return spec
 }
 
-// Fig7 runs the three bursty-load schemes on this runner's worker pool.
-func (r Runner) Fig7(s Scale, mode router.DeadlockMode) ([]Fig7Series, error) {
-	spec := Fig7Spec(s, mode)
-	grouped, err := r.RunSpec(spec)
-	if err != nil {
-		return nil, err
-	}
-	points := spec.Groups[0].Points
-	out := make([]Fig7Series, 0, len(points))
-	for i, p := range points {
-		res := grouped[0][i]
-		fs := Fig7Series{Scheme: string(p.Config.Scheme.Kind),
-			AvgLatency: res.AvgNetworkLatency, AvgTotal: res.AvgTotalLatency}
-		for j, v := range res.Throughput.Values {
-			fs.Cycle = append(fs.Cycle, res.Throughput.CycleAt(j))
-			fs.Throughput = append(fs.Throughput, v)
+// fig7Series maps one mode's points to per-scheme throughput series.
+func fig7Series(groups []Group, grouped [][]sim.Result) []Fig7Series {
+	var out []Fig7Series
+	for gi, g := range groups {
+		for pi, p := range g.Points {
+			res := grouped[gi][pi]
+			fs := Fig7Series{Scheme: string(p.Config.Scheme.Kind),
+				AvgLatency: res.AvgNetworkLatency, AvgTotal: res.AvgTotalLatency}
+			for j, v := range res.Throughput.Values {
+				fs.Cycle = append(fs.Cycle, res.Throughput.CycleAt(j))
+				fs.Throughput = append(fs.Throughput, v)
+			}
+			out = append(out, fs)
 		}
-		out = append(out, fs)
 	}
-	return out, nil
+	return out
+}
+
+// reportFig7 prints the latency summaries and writes one throughput CSV
+// per deadlock mode.
+func reportFig7(ctx RunContext, spec *Spec, grouped [][]sim.Result) error {
+	return byMode(spec, grouped, func(mode router.DeadlockMode, groups []Group, grouped [][]sim.Result) error {
+		series := fig7Series(groups, grouped)
+		fmt.Fprintf(ctx.Out, "fig7 (%s):\n", mode)
+		PrintFig7(ctx.Out, series)
+		return ctx.csv("fig7_"+mode.String()+".csv", func(w io.Writer) error {
+			return WriteFig7CSV(w, series)
+		})
+	})
 }

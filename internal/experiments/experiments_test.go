@@ -2,21 +2,99 @@ package experiments
 
 import (
 	"bytes"
+	"io"
+	"os"
+	"path/filepath"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/router"
+	"repro/internal/sim"
 )
 
-// tiny is the smallest scale that still exercises every driver end to
+// tiny is the smallest scale that still exercises every entry end to
 // end (the 256-node network needs a few thousand cycles of signal).
 var tiny = Scale{Warmup: 500, Measure: 2_500, BurstLow: 600, BurstHigh: 900}
 
-var tinyRates = []float64{0.005, 0.02}
+// keep trims a grid to the points pred accepts, dropping emptied groups.
+func keep(pred func(Point) bool) func(*Spec) {
+	return func(spec *Spec) {
+		var groups []Group
+		for _, g := range spec.Groups {
+			var pts []Point
+			for _, p := range g.Points {
+				if pred(p) {
+					pts = append(pts, p)
+				}
+			}
+			if len(pts) > 0 {
+				g.Points = pts
+				groups = append(groups, g)
+			}
+		}
+		spec.Groups = groups
+	}
+}
+
+// keepRates trims a rate-sweep grid to the given offered loads.
+func keepRates(rates ...float64) func(*Spec) {
+	return keep(func(p Point) bool { return slices.Contains(rates, p.Config.Rate) })
+}
+
+// atRate moves every point of a grid to one offered load.
+func atRate(rate float64) func(*Spec) {
+	return func(spec *Spec) {
+		for _, g := range spec.Groups {
+			for pi := range g.Points {
+				g.Points[pi].Config.Rate = rate
+			}
+		}
+	}
+}
+
+// tinySpecOf builds the named entry's grid at s and lets edit reshape it.
+func tinySpecOf(t *testing.T, name string, s Scale, edit func(*Spec)) *Spec {
+	t.Helper()
+	e, ok := Lookup(name)
+	if !ok {
+		t.Fatalf("%s: not registered", name)
+	}
+	spec := e.Spec(s)
+	if edit != nil {
+		edit(spec)
+	}
+	return spec
+}
+
+// runTiny runs tinySpecOf's grid on the default runner.
+func runTiny(t *testing.T, name string, s Scale, edit func(*Spec)) (*Spec, [][]sim.Result) {
+	t.Helper()
+	spec := tinySpecOf(t, name, s, edit)
+	grouped, err := Runner{}.RunSpec(spec)
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	return spec, grouped
+}
+
+// curveRows runs the named rate-sweep entry and returns its curves.
+func curveRows(t *testing.T, name string, s Scale, edit func(*Spec)) []Curve {
+	t.Helper()
+	spec, grouped := runTiny(t, name, s, edit)
+	return specCurves(spec.Groups, grouped)
+}
+
+// ablationRows runs the named ablation at one rate and returns its rows.
+func ablationRows(t *testing.T, name string, s Scale, rate float64) []AblationPoint {
+	t.Helper()
+	return ablationPoints(runTiny(t, name, s, atRate(rate)))
+}
 
 func TestTable1MatchesPaper(t *testing.T) {
-	rows := Table1()
+	rows := table1()
 	if len(rows) != 4 {
 		t.Fatalf("rows = %d", len(rows))
 	}
@@ -37,10 +115,8 @@ func TestFig1Shapes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation-heavy")
 	}
-	curves, err := Fig1(tiny, tinyRates)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tinyRates := []float64{0.005, 0.02}
+	curves := curveRows(t, "fig1", tiny, keepRates(tinyRates...))
 	if len(curves) != 2 {
 		t.Fatalf("curves = %d", len(curves))
 	}
@@ -48,7 +124,10 @@ func TestFig1Shapes(t *testing.T) {
 		if len(c.Points) != len(tinyRates) {
 			t.Fatalf("%s: %d points", c.Name, len(c.Points))
 		}
-		for _, p := range c.Points {
+		for i, p := range c.Points {
+			if p.Rate != tinyRates[i] {
+				t.Errorf("%s point %d: rate %v, want %v", c.Name, i, p.Rate, tinyRates[i])
+			}
 			if p.Accepted <= 0 {
 				t.Errorf("%s rate %v: zero throughput", c.Name, p.Rate)
 			}
@@ -57,6 +136,9 @@ func TestFig1Shapes(t *testing.T) {
 	// Butterfly saturates earlier than random: at the overload rate it
 	// accepts less.
 	random, butterfly := curves[0], curves[1]
+	if random.Name != "random" || butterfly.Name != "butterfly" {
+		t.Fatalf("curve names: %s, %s", random.Name, butterfly.Name)
+	}
 	if butterfly.Points[1].Accepted >= random.Points[1].Accepted {
 		t.Errorf("butterfly (%v) should saturate below random (%v)",
 			butterfly.Points[1].Accepted, random.Points[1].Accepted)
@@ -67,15 +149,17 @@ func TestFig2Monotone(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation-heavy")
 	}
-	pts, err := Fig2(tiny, tinyRates)
-	if err != nil {
+	spec, grouped := runTiny(t, "fig2", tiny, keepRates(0.005, 0.02))
+	var out bytes.Buffer
+	if err := reportFig2(RunContext{Out: &out}, spec, grouped); err != nil {
 		t.Fatal(err)
 	}
-	if len(pts) != len(tinyRates) {
-		t.Fatal("wrong point count")
+	if lines := strings.Split(strings.TrimSpace(out.String()), "\n"); len(lines) != 2+2 {
+		t.Fatalf("wrong point count in report:\n%s", out.String())
 	}
-	if pts[1].FullBuffers <= pts[0].FullBuffers {
-		t.Errorf("full buffers should rise with load: %v then %v", pts[0].FullBuffers, pts[1].FullBuffers)
+	low, high := grouped[0][0], grouped[0][1]
+	if high.AvgFullBuffers <= low.AvgFullBuffers {
+		t.Errorf("full buffers should rise with load: %v then %v", low.AvgFullBuffers, high.AvgFullBuffers)
 	}
 }
 
@@ -83,14 +167,29 @@ func TestFig3CurveNames(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation-heavy")
 	}
-	curves, err := Fig3Curves(tiny, router.Recovery, []float64{0.005})
+	spec, grouped := runTiny(t, "fig3", tiny, keep(func(p Point) bool {
+		return p.Config.Mode == router.Recovery && p.Config.Rate == 0.005
+	}))
+	dir := t.TempDir()
+	var out bytes.Buffer
+	if err := reportFig3(RunContext{Out: &out, CSVDir: dir}, spec, grouped); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.HasPrefix(out.String(), "fig3: overall performance, recovery\n") {
+		t.Errorf("report title: %q", out.String())
+	}
+	data, err := os.ReadFile(filepath.Join(dir, "fig3_recovery.csv"))
 	if err != nil {
 		t.Fatal(err)
 	}
+	rows := strings.Split(strings.TrimSpace(string(data)), "\n")[1:]
 	names := []string{"base", "alo", "tune"}
-	for i, c := range curves {
-		if c.Name != names[i] {
-			t.Errorf("curve %d = %s, want %s", i, c.Name, names[i])
+	if len(rows) != len(names) {
+		t.Fatalf("csv rows = %d, want %d", len(rows), len(names))
+	}
+	for i, row := range rows {
+		if c := strings.SplitN(row, ",", 2)[0]; c != names[i] {
+			t.Errorf("curve %d = %s, want %s", i, c, names[i])
 		}
 	}
 }
@@ -99,7 +198,8 @@ func TestFig4TracesDiffer(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation-heavy")
 	}
-	traces, err := Fig4(Scale{Warmup: 0, Measure: 6_000}, 50)
+	spec, grouped := runTiny(t, "fig4", Scale{Warmup: 0, Measure: 6_000}, nil)
+	traces, err := fig4Traces(spec, grouped)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,17 +220,14 @@ func TestFig5CurveCount(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation-heavy")
 	}
-	curves, err := Fig5(tiny, []float64{0.02})
-	if err != nil {
-		t.Fatal(err)
-	}
+	curves := curveRows(t, "fig5", tiny, keepRates(0.02))
 	if len(curves) != 8 { // 2 patterns x 4 schemes
 		t.Fatalf("curves = %d", len(curves))
 	}
 }
 
 func TestFig6Schedule(t *testing.T) {
-	rows, sched, err := Fig6(tiny)
+	rows, err := fig6Rows(tiny)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +244,7 @@ func TestFig6Schedule(t *testing.T) {
 	for _, r := range rows {
 		want += r.EndCycle - r.StartCycle
 	}
-	if sched.TotalDuration() != want {
+	if fig6Schedule(tiny).TotalDuration() != want {
 		t.Error("schedule duration mismatch")
 	}
 }
@@ -156,10 +253,10 @@ func TestFig7SeriesShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation-heavy")
 	}
-	series, err := Fig7(tiny, router.Recovery)
-	if err != nil {
-		t.Fatal(err)
-	}
+	spec, grouped := runTiny(t, "fig7", tiny, keep(func(p Point) bool {
+		return p.Config.Mode == router.Recovery
+	}))
+	series := fig7Series(spec.Groups, grouped)
 	if len(series) != 3 {
 		t.Fatalf("series = %d", len(series))
 	}
@@ -174,11 +271,11 @@ func TestExtDrivers(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation-heavy")
 	}
-	if pts, err := Ext1Estimator(tiny, 0.02); err != nil || len(pts) != 2 {
-		t.Errorf("ext1: %v %d", err, len(pts))
+	if pts := ablationRows(t, "ext1", tiny, 0.02); len(pts) != 2 {
+		t.Errorf("ext1: %d", len(pts))
 	}
-	if pts, err := Ext4NarrowSideband(tiny, 0.02); err != nil || len(pts) != 2 {
-		t.Errorf("ext4: %v %d", err, len(pts))
+	if pts := ablationRows(t, "ext4", tiny, 0.02); len(pts) != 2 {
+		t.Errorf("ext4: %d", len(pts))
 	}
 }
 
@@ -197,7 +294,7 @@ func TestPrintAndCSVFormats(t *testing.T) {
 		t.Errorf("csv lines: %v", lines)
 	}
 	buf.Reset()
-	PrintTable1(&buf, Table1())
+	PrintTable1(&buf, table1())
 	if !strings.Contains(buf.String(), "decrement") {
 		t.Error("table1 output missing decisions")
 	}
@@ -222,7 +319,6 @@ func TestPrintAndCSVFormats(t *testing.T) {
 	PrintFig2(&buf, []Fig2Point{{Rate: 1, FullBuffers: 2, Throughput: 3}})
 	PrintFig6(&buf, []Fig6Row{{StartCycle: 0, EndCycle: 5, Pattern: "p", Rate: 0.1}})
 	PrintFig7(&buf, fs)
-	PrintFig4(&buf, tr)
 	PrintAblation(&buf, "a", []AblationPoint{{Name: "n", Accepted: 1, Latency: 2}})
 	if buf.Len() == 0 {
 		t.Error("printers produced nothing")
@@ -233,20 +329,13 @@ func TestExtensionDrivers(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation-heavy")
 	}
-	if pts, err := Ext5HopDelay(tiny, 0.02); err != nil || len(pts) != 4 {
-		t.Errorf("ext5: %v %d", err, len(pts))
+	for name, want := range map[string]int{"ext5": 4, "ext6": 3, "ext7": 3, "ext8": 3} {
+		if pts := ablationRows(t, name, tiny, 0.02); len(pts) != want {
+			t.Errorf("%s: %d rows, want %d", name, len(pts), want)
+		}
 	}
-	if pts, err := Ext6ConsumptionChannels(tiny, 0.02); err != nil || len(pts) != 3 {
-		t.Errorf("ext6: %v %d", err, len(pts))
-	}
-	if pts, err := Ext7Selection(tiny, 0.02); err != nil || len(pts) != 3 {
-		t.Errorf("ext7: %v %d", err, len(pts))
-	}
-	if pts, err := Ext8GatherMechanism(tiny, 0.02); err != nil || len(pts) != 3 {
-		t.Errorf("ext8: %v %d", err, len(pts))
-	}
-	if curves, err := Ext9AllPatterns(tiny, []float64{0.02}); err != nil || len(curves) != 8 {
-		t.Errorf("ext9: %v %d", err, len(curves))
+	if curves := curveRows(t, "ext9", tiny, keepRates(0.02)); len(curves) != 8 {
+		t.Errorf("ext9: %d", len(curves))
 	}
 }
 
@@ -254,12 +343,12 @@ func TestExtensionDriversDefaultRates(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation-heavy")
 	}
-	// Exercise the rate-defaulting paths of the Section 4.1 ablations.
-	if pts, err := Ext2TuningPeriod(Scale{Warmup: 200, Measure: 1_000}, 0.01); err != nil || len(pts) != 5 {
-		t.Errorf("ext2: %v %d", err, len(pts))
+	// The Section 4.1 ablations at a short scale and a non-default rate.
+	if pts := ablationRows(t, "ext2", Scale{Warmup: 200, Measure: 1_000}, 0.01); len(pts) != 5 {
+		t.Errorf("ext2: %d", len(pts))
 	}
-	if pts, err := Ext3Steps(Scale{Warmup: 200, Measure: 1_000}, 0.01); err != nil || len(pts) != 5 {
-		t.Errorf("ext3: %v %d", err, len(pts))
+	if pts := ablationRows(t, "ext3", Scale{Warmup: 200, Measure: 1_000}, 0.01); len(pts) != 5 {
+		t.Errorf("ext3: %d", len(pts))
 	}
 }
 
@@ -267,9 +356,8 @@ func TestExt10Driver(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation-heavy")
 	}
-	pts, err := Ext10CutThrough(tiny, 0.02)
-	if err != nil || len(pts) != 4 {
-		t.Fatalf("ext10: %v %d", err, len(pts))
+	if pts := ablationRows(t, "ext10", tiny, 0.02); len(pts) != 4 {
+		t.Fatalf("ext10: %d", len(pts))
 	}
 }
 
@@ -277,10 +365,44 @@ func TestExt11And12Drivers(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation-heavy")
 	}
-	if pts, err := Ext11LocalBaselines(tiny, 0.02); err != nil || len(pts) != 4 {
-		t.Errorf("ext11: %v %d", err, len(pts))
+	if pts := ablationRows(t, "ext11", tiny, 0.02); len(pts) != 4 {
+		t.Errorf("ext11: %d", len(pts))
 	}
-	if pts, err := Ext12ThreeCube(Scale{Warmup: 200, Measure: 1_000}, 0.02); err != nil || len(pts) != 2 {
-		t.Errorf("ext12: %v %d", err, len(pts))
+	if pts := ablationRows(t, "ext12", Scale{Warmup: 200, Measure: 1_000}, 0.02); len(pts) != 2 {
+		t.Errorf("ext12: %d", len(pts))
+	}
+}
+
+// Entry.Run executes an entry's whole grid as one job, so point events
+// index the merged two-mode grid fig7 declares: one Total across both
+// deadlock modes and every index exactly once.
+func TestEntryRunPointEventsSpanJob(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulation-heavy")
+	}
+	e, _ := Lookup("fig7")
+	want := e.Spec(registryGoldenScale).NumPoints()
+	var mu sync.Mutex
+	seen := make([]int, want)
+	var bad []PointEvent
+	r := Runner{OnPoint: func(ev PointEvent) {
+		mu.Lock()
+		defer mu.Unlock()
+		if ev.Total != want || ev.Index < 0 || ev.Index >= want {
+			bad = append(bad, ev)
+			return
+		}
+		seen[ev.Index]++
+	}}
+	if err := e.Run(RunContext{Runner: r, Scale: registryGoldenScale, Out: io.Discard}); err != nil {
+		t.Fatal(err)
+	}
+	if len(bad) > 0 {
+		t.Errorf("events outside a %d-point job: %+v", want, bad)
+	}
+	for i, n := range seen {
+		if n != 1 {
+			t.Errorf("point %d observed %d times, want once", i, n)
+		}
 	}
 }

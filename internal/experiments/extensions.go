@@ -15,9 +15,9 @@ type Table1Row struct {
 	Decision   core.Decision
 }
 
-// Table1 exercises the tuner's decision logic on all four table cells
+// table1 exercises the tuner's decision logic on all four table cells
 // and returns what it did, reproducing Table 1.
-func Table1() []Table1Row {
+func table1() []Table1Row {
 	var rows []Table1Row
 	for _, drop := range []bool{true, false} {
 		for _, throttling := range []bool{true, false} {
@@ -37,6 +37,12 @@ func Table1() []Table1Row {
 	return rows
 }
 
+// reportTable1 prints Table 1; it is analytic, so its grid is empty.
+func reportTable1(ctx RunContext, _ *Spec, _ [][]sim.Result) error {
+	PrintTable1(ctx.Out, table1())
+	return nil
+}
+
 // AblationPoint is one configuration of an ablation sweep.
 type AblationPoint struct {
 	Name     string
@@ -44,25 +50,26 @@ type AblationPoint struct {
 	Latency  float64
 }
 
-// runAblation executes a single-group spec and maps the results to
-// named (throughput, latency) points — the shape every Ext* sweep
-// shares. Point labels become the row names.
-func (r Runner) runAblation(spec *Spec) ([]AblationPoint, error) {
-	grouped, err := r.RunSpec(spec)
-	if err != nil {
-		return nil, err
-	}
-	points := spec.Points()
-	out := make([]AblationPoint, len(points))
-	at := 0
-	for _, group := range grouped {
-		for _, res := range group {
-			out[at] = AblationPoint{Name: points[at].Label,
-				Accepted: res.AcceptedFlits, Latency: res.AvgNetworkLatency}
-			at++
+// ablationPoints maps a spec's results to named (throughput, latency)
+// points — the shape every ablation study shares. Point labels become
+// the row names.
+func ablationPoints(spec *Spec, grouped [][]sim.Result) []AblationPoint {
+	var out []AblationPoint
+	for gi, g := range spec.Groups {
+		for pi, p := range g.Points {
+			res := grouped[gi][pi]
+			out = append(out, AblationPoint{Name: p.Label,
+				Accepted: res.AcceptedFlits, Latency: res.AvgNetworkLatency})
 		}
 	}
-	return out, nil
+	return out
+}
+
+// reportAblation prints an ablation study as one table titled
+// "<name>: <title>".
+func reportAblation(ctx RunContext, spec *Spec, grouped [][]sim.Result) error {
+	PrintAblation(ctx.Out, spec.Name+": "+spec.Title, ablationPoints(spec, grouped))
+	return nil
 }
 
 // ablationSpec assembles a one-group spec from (label, config) pairs.
@@ -72,78 +79,44 @@ func ablationSpec(name, title string, points ...Point) *Spec {
 	return spec
 }
 
-// Ext1Estimator compares linear extrapolation against last-value
-// estimation near saturation (the paper reports 3-5% throughput from
+// ext1Spec compares linear extrapolation against last-value estimation
+// near saturation (the paper reports 3-5% throughput from
 // extrapolation).
-func Ext1Estimator(s Scale, rate float64) ([]AblationPoint, error) {
-	return Runner{}.Ext1Estimator(s, rate)
-}
-
-// Ext1Spec is the estimator ablation's declarative grid.
-func Ext1Spec(s Scale, rate float64) *Spec {
-	if rate == 0 {
-		rate = 0.03
-	}
+func ext1Spec(s Scale) *Spec {
 	var points []Point
 	for _, est := range []sim.EstimatorKind{sim.LinearEstimator, sim.LastValueEstimator} {
 		cfg := baseConfig(s)
-		cfg.Rate = rate
+		cfg.Rate = 0.03
 		cfg.Scheme = sim.Scheme{Kind: sim.SelfTuned, Estimator: est}
 		points = append(points, Point{Label: string(est), Config: cfg})
 	}
 	return ablationSpec("ext1", "estimator ablation (tune @ saturation)", points...)
 }
 
-// Ext1Estimator runs the estimator ablation on this runner's pool.
-func (r Runner) Ext1Estimator(s Scale, rate float64) ([]AblationPoint, error) {
-	return r.runAblation(Ext1Spec(s, rate))
-}
-
-// Ext2TuningPeriod sweeps the tuning period (the paper found 32-192
-// cycles performs within a few percent; it uses 96).
-func Ext2TuningPeriod(s Scale, rate float64) ([]AblationPoint, error) {
-	return Runner{}.Ext2TuningPeriod(s, rate)
-}
-
-// Ext2Spec is the tuning-period sweep's declarative grid.
-func Ext2Spec(s Scale, rate float64) *Spec {
-	if rate == 0 {
-		rate = 0.03
-	}
+// ext2Spec sweeps the tuning period (the paper found 32-192 cycles
+// performs within a few percent; it uses 96).
+func ext2Spec(s Scale) *Spec {
 	var points []Point
 	for _, period := range []int64{32, 64, 96, 160, 192} {
 		cfg := baseConfig(s)
-		cfg.Rate = rate
+		cfg.Rate = 0.03
 		cfg.Scheme = sim.Scheme{Kind: sim.SelfTuned, TuningPeriod: period}
 		points = append(points, Point{Label: fmt.Sprintf("period=%d", period), Config: cfg})
 	}
 	return ablationSpec("ext2", "tuning period sensitivity", points...)
 }
 
-// Ext2TuningPeriod runs the tuning-period sweep on this runner's pool.
-func (r Runner) Ext2TuningPeriod(s Scale, rate float64) ([]AblationPoint, error) {
-	return r.runAblation(Ext2Spec(s, rate))
-}
-
-// Ext3Steps sweeps the tuner's increment/decrement step sizes (the paper
+// ext3Spec sweeps the tuner's increment/decrement step sizes (the paper
 // found 1-4% of all buffers performs within ~4%, slightly better with
 // decrement > increment).
-func Ext3Steps(s Scale, rate float64) ([]AblationPoint, error) {
-	return Runner{}.Ext3Steps(s, rate)
-}
-
-// Ext3Spec is the step-size sweep's declarative grid.
-func Ext3Spec(s Scale, rate float64) *Spec {
-	if rate == 0 {
-		rate = 0.03
-	}
+func ext3Spec(s Scale) *Spec {
 	steps := []struct{ inc, dec float64 }{
 		{0.01, 0.01}, {0.01, 0.04}, {0.04, 0.01}, {0.04, 0.04}, {0.02, 0.02},
 	}
 	var points []Point
 	for _, st := range steps {
 		cfg := baseConfig(s)
-		cfg.Rate = rate
+		cfg.Rate = 0.03
 		tc := core.DefaultTunerConfig(cfg.TotalBuffers())
 		tc.IncrementFraction = st.inc
 		tc.DecrementFraction = st.dec
@@ -153,27 +126,14 @@ func Ext3Spec(s Scale, rate float64) *Spec {
 	return ablationSpec("ext3", "increment/decrement sensitivity", points...)
 }
 
-// Ext3Steps runs the step-size sweep on this runner's pool.
-func (r Runner) Ext3Steps(s Scale, rate float64) ([]AblationPoint, error) {
-	return r.runAblation(Ext3Spec(s, rate))
-}
-
-// Ext4NarrowSideband compares the full-precision side-band against the
-// technical report's narrow (9-bit) side-band, which quantizes the
-// transported counts.
-func Ext4NarrowSideband(s Scale, rate float64) ([]AblationPoint, error) {
-	return Runner{}.Ext4NarrowSideband(s, rate)
-}
-
-// Ext4Spec is the side-band-width ablation's declarative grid.
-func Ext4Spec(s Scale, rate float64) *Spec {
-	if rate == 0 {
-		rate = 0.03
-	}
+// ext4Spec compares the full-precision side-band against the technical
+// report's narrow (9-bit) side-band, which quantizes the transported
+// counts.
+func ext4Spec(s Scale) *Spec {
 	var points []Point
 	for _, bits := range []int{0, 9} {
 		cfg := baseConfig(s)
-		cfg.Rate = rate
+		cfg.Rate = 0.03
 		cfg.SidebandBits = bits
 		cfg.Scheme = sim.Scheme{Kind: sim.SelfTuned}
 		name := "full-precision"
@@ -183,10 +143,4 @@ func Ext4Spec(s Scale, rate float64) *Spec {
 		points = append(points, Point{Label: name, Config: cfg})
 	}
 	return ablationSpec("ext4", "narrow side-band", points...)
-}
-
-// Ext4NarrowSideband runs the side-band-width ablation on this runner's
-// pool.
-func (r Runner) Ext4NarrowSideband(s Scale, rate float64) ([]AblationPoint, error) {
-	return r.runAblation(Ext4Spec(s, rate))
 }

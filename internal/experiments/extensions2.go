@@ -9,23 +9,15 @@ import (
 	"repro/internal/traffic"
 )
 
-// Ext5HopDelay sweeps the side-band's per-hop delay h. Larger h means a
+// ext5Spec sweeps the side-band's per-hop delay h. Larger h means a
 // longer gather duration g = (k/2)*h*n, staler global information, and a
 // slower control loop (the technical report quantifies this effect; the
 // paper assumes h = 2 throughout).
-func Ext5HopDelay(s Scale, rate float64) ([]AblationPoint, error) {
-	return Runner{}.Ext5HopDelay(s, rate)
-}
-
-// Ext5Spec is the hop-delay sweep's declarative grid.
-func Ext5Spec(s Scale, rate float64) *Spec {
-	if rate == 0 {
-		rate = 0.03
-	}
+func ext5Spec(s Scale) *Spec {
 	var points []Point
 	for _, h := range []int{1, 2, 4, 8} {
 		cfg := baseConfig(s)
-		cfg.Rate = rate
+		cfg.Rate = 0.03
 		cfg.SidebandHopDelay = h
 		cfg.Scheme = sim.Scheme{Kind: sim.SelfTuned}
 		points = append(points, Point{Label: fmt.Sprintf("h=%d (g=%d)", h, cfg.GatherDuration()), Config: cfg})
@@ -33,84 +25,41 @@ func Ext5Spec(s Scale, rate float64) *Spec {
 	return ablationSpec("ext5", "side-band hop delay", points...)
 }
 
-// Ext5HopDelay runs the hop-delay sweep on this runner's pool.
-func (r Runner) Ext5HopDelay(s Scale, rate float64) ([]AblationPoint, error) {
-	return r.runAblation(Ext5Spec(s, rate))
-}
-
-// Ext6ConsumptionChannels sweeps the number of delivery (consumption)
-// channels per node on the uncontrolled network, reproducing Basak &
-// Panda's observation that consumption bandwidth bounds saturation
-// throughput.
-func Ext6ConsumptionChannels(s Scale, rate float64) ([]AblationPoint, error) {
-	return Runner{}.Ext6ConsumptionChannels(s, rate)
-}
-
-// Ext6Spec is the consumption-channel sweep's declarative grid.
-func Ext6Spec(s Scale, rate float64) *Spec {
-	if rate == 0 {
-		rate = 0.03
-	}
+// ext6Spec sweeps the number of delivery (consumption) channels per node
+// on the uncontrolled network, reproducing Basak & Panda's observation
+// that consumption bandwidth bounds saturation throughput.
+func ext6Spec(s Scale) *Spec {
 	var points []Point
 	for _, c := range []int{1, 2, 4} {
 		cfg := baseConfig(s)
-		cfg.Rate = rate
+		cfg.Rate = 0.03
 		cfg.DeliveryChannels = c
 		points = append(points, Point{Label: fmt.Sprintf("consumption=%d", c), Config: cfg})
 	}
 	return ablationSpec("ext6", "consumption channels", points...)
 }
 
-// Ext6ConsumptionChannels runs the consumption-channel sweep on this
-// runner's pool.
-func (r Runner) Ext6ConsumptionChannels(s Scale, rate float64) ([]AblationPoint, error) {
-	return r.runAblation(Ext6Spec(s, rate))
-}
-
-// Ext7Selection compares adaptive-routing port selection policies on the
+// ext7Spec compares adaptive-routing port selection policies on the
 // uncontrolled network near saturation.
-func Ext7Selection(s Scale, rate float64) ([]AblationPoint, error) {
-	return Runner{}.Ext7Selection(s, rate)
-}
-
-// Ext7Spec is the selection-policy comparison's declarative grid.
-func Ext7Spec(s Scale, rate float64) *Spec {
-	if rate == 0 {
-		rate = 0.02
-	}
+func ext7Spec(s Scale) *Spec {
 	var points []Point
 	for _, pol := range []router.SelectionPolicy{router.RotatePorts, router.FirstPort, router.MostFreeVCs} {
 		cfg := baseConfig(s)
-		cfg.Rate = rate
+		cfg.Rate = 0.02
 		cfg.Selection = pol
 		points = append(points, Point{Label: "selection=" + pol.String(), Config: cfg})
 	}
 	return ablationSpec("ext7", "selection policy", points...)
 }
 
-// Ext7Selection runs the selection-policy comparison on this runner's
-// pool.
-func (r Runner) Ext7Selection(s Scale, rate float64) ([]AblationPoint, error) {
-	return r.runAblation(Ext7Spec(s, rate))
-}
-
-// Ext8GatherMechanism compares the three information distribution
-// alternatives of Section 3.1 — dedicated side-band, meta-packets, and
-// piggybacking — as substrates for the self-tuned controller at
-// saturation.
-func Ext8GatherMechanism(s Scale, rate float64) ([]AblationPoint, error) {
-	return Runner{}.Ext8GatherMechanism(s, rate)
-}
-
-// Ext8Spec is the gather-mechanism comparison's declarative grid.
-func Ext8Spec(s Scale, rate float64) *Spec {
-	if rate == 0 {
-		rate = 0.03
-	}
+// ext8Spec compares the three information distribution alternatives of
+// Section 3.1 — dedicated side-band, meta-packets, and piggybacking — as
+// substrates for the self-tuned controller at saturation.
+func ext8Spec(s Scale) *Spec {
 	var points []Point
 	for _, m := range []sideband.Mechanism{sideband.Dedicated, sideband.MetaPacket, sideband.Piggyback} {
 		cfg := baseConfig(s)
-		cfg.Rate = rate
+		cfg.Rate = 0.03
 		cfg.SidebandMechanism = m
 		cfg.Scheme = sim.Scheme{Kind: sim.SelfTuned}
 		points = append(points, Point{Label: "gather=" + m.String(), Config: cfg})
@@ -118,24 +67,10 @@ func Ext8Spec(s Scale, rate float64) *Spec {
 	return ablationSpec("ext8", "gather mechanism", points...)
 }
 
-// Ext8GatherMechanism runs the gather-mechanism comparison on this
-// runner's pool.
-func (r Runner) Ext8GatherMechanism(s Scale, rate float64) ([]AblationPoint, error) {
-	return r.runAblation(Ext8Spec(s, rate))
-}
-
-// Ext9AllPatterns produces base-vs-tune rate curves for all four of the
-// paper's communication patterns (the technical report's steady-load
-// study: the HPCA paper prints only uniform random in full).
-func Ext9AllPatterns(s Scale, rates []float64) ([]Curve, error) {
-	return Runner{}.Ext9AllPatterns(s, rates)
-}
-
-// Ext9Spec is the pattern/scheme grid's declarative form.
-func Ext9Spec(s Scale, rates []float64) *Spec {
-	if rates == nil {
-		rates = DefaultRates
-	}
+// ext9Spec produces base-vs-tune rate curves for all four of the paper's
+// communication patterns (the technical report's steady-load study: the
+// HPCA paper prints only uniform random in full).
+func ext9Spec(s Scale) *Spec {
 	patterns := []traffic.PatternKind{
 		traffic.UniformRandom, traffic.BitReversal, traffic.PerfectShuffle, traffic.Butterfly,
 	}
@@ -144,7 +79,7 @@ func Ext9Spec(s Scale, rates []float64) *Spec {
 		for _, sch := range []sim.Scheme{{Kind: sim.Base}, {Kind: sim.SelfTuned}} {
 			pat, sch := pat, sch
 			name := string(pat) + "/" + string(sch.Kind)
-			spec.Groups = append(spec.Groups, rateGroup(name, name+" ", rates,
+			spec.Groups = append(spec.Groups, rateGroup(name, name+" ",
 				func(rate float64) sim.Config {
 					cfg := baseConfig(s)
 					cfg.Pattern = pat
@@ -157,29 +92,13 @@ func Ext9Spec(s Scale, rates []float64) *Spec {
 	return spec
 }
 
-// Ext9AllPatterns runs the pattern/scheme grid on this runner's pool.
-func (r Runner) Ext9AllPatterns(s Scale, rates []float64) ([]Curve, error) {
-	if rates == nil {
-		rates = DefaultRates
-	}
-	return r.runCurves(Ext9Spec(s, rates), rates)
-}
-
-// Ext10CutThrough compares wormhole against virtual cut-through
-// switching (buffers sized to hold whole packets) on the base and
-// self-tuned configurations at overload. The paper argues its controller
-// applies to cut-through networks as well; cut-through contains blocked
-// packets inside single routers, so tree saturation is milder but still
-// present once router buffers fill.
-func Ext10CutThrough(s Scale, rate float64) ([]AblationPoint, error) {
-	return Runner{}.Ext10CutThrough(s, rate)
-}
-
-// Ext10Spec is the switching-mode grid's declarative form.
-func Ext10Spec(s Scale, rate float64) *Spec {
-	if rate == 0 {
-		rate = 0.04
-	}
+// ext10Spec compares wormhole against virtual cut-through switching
+// (buffers sized to hold whole packets) on the base and self-tuned
+// configurations at overload. The paper argues its controller applies to
+// cut-through networks as well; cut-through contains blocked packets
+// inside single routers, so tree saturation is milder but still present
+// once router buffers fill.
+func ext10Spec(s Scale) *Spec {
 	cases := []struct {
 		name      string
 		switching router.Switching
@@ -193,7 +112,7 @@ func Ext10Spec(s Scale, rate float64) *Spec {
 	var points []Point
 	for _, c := range cases {
 		cfg := baseConfig(s)
-		cfg.Rate = rate
+		cfg.Rate = 0.04
 		cfg.Switching = c.switching
 		cfg.Scheme = c.scheme
 		if c.switching == router.CutThrough {
@@ -204,23 +123,10 @@ func Ext10Spec(s Scale, rate float64) *Spec {
 	return ablationSpec("ext10", "wormhole vs cut-through", points...)
 }
 
-// Ext10CutThrough runs the switching-mode grid on this runner's pool.
-func (r Runner) Ext10CutThrough(s Scale, rate float64) ([]AblationPoint, error) {
-	return r.runAblation(Ext10Spec(s, rate))
-}
-
-// Ext11LocalBaselines compares the paper's scheme against both local
-// baselines it cites — ALO (Baydal et al.) and busy-VC counting (Lopez
-// et al.) — at overload.
-func Ext11LocalBaselines(s Scale, rate float64) ([]AblationPoint, error) {
-	return Runner{}.Ext11LocalBaselines(s, rate)
-}
-
-// Ext11Spec is the local-baseline comparison's declarative grid.
-func Ext11Spec(s Scale, rate float64) *Spec {
-	if rate == 0 {
-		rate = 0.04
-	}
+// ext11Spec compares the paper's scheme against both local baselines it
+// cites — ALO (Baydal et al.) and busy-VC counting (Lopez et al.) — at
+// overload.
+func ext11Spec(s Scale) *Spec {
 	schemes := []sim.Scheme{
 		{Kind: sim.Base},
 		{Kind: sim.BusyVC},
@@ -230,44 +136,25 @@ func Ext11Spec(s Scale, rate float64) *Spec {
 	var points []Point
 	for _, sch := range schemes {
 		cfg := baseConfig(s)
-		cfg.Rate = rate
+		cfg.Rate = 0.04
 		cfg.Scheme = sch
 		points = append(points, Point{Label: string(sch.Kind), Config: cfg})
 	}
 	return ablationSpec("ext11", "local baselines vs tune", points...)
 }
 
-// Ext11LocalBaselines runs the local-baseline comparison on this
-// runner's pool.
-func (r Runner) Ext11LocalBaselines(s Scale, rate float64) ([]AblationPoint, error) {
-	return r.runAblation(Ext11Spec(s, rate))
-}
-
-// Ext12ThreeCube runs base vs tune on an 8-ary 3-cube (512 nodes),
-// checking the controller generalizes across network dimensionality as
-// the paper's k-ary n-cube framing implies. The tuning period is three
+// ext12Spec runs base vs tune on an 8-ary 3-cube (512 nodes), checking
+// the controller generalizes across network dimensionality as the
+// paper's k-ary n-cube framing implies. The tuning period is three
 // gather durations of the 3-cube's side-band (g = 4*2*3 = 24 cycles).
-func Ext12ThreeCube(s Scale, rate float64) ([]AblationPoint, error) {
-	return Runner{}.Ext12ThreeCube(s, rate)
-}
-
-// Ext12Spec is the 3-cube comparison's declarative grid.
-func Ext12Spec(s Scale, rate float64) *Spec {
-	if rate == 0 {
-		rate = 0.05
-	}
+func ext12Spec(s Scale) *Spec {
 	var points []Point
 	for _, sch := range []sim.Scheme{{Kind: sim.Base}, {Kind: sim.SelfTuned}} {
 		cfg := baseConfig(s)
 		cfg.K, cfg.N = 8, 3
-		cfg.Rate = rate
+		cfg.Rate = 0.05
 		cfg.Scheme = sch
 		points = append(points, Point{Label: "8-ary 3-cube/" + string(sch.Kind), Config: cfg})
 	}
 	return ablationSpec("ext12", "8-ary 3-cube", points...)
-}
-
-// Ext12ThreeCube runs the 3-cube comparison on this runner's pool.
-func (r Runner) Ext12ThreeCube(s Scale, rate float64) ([]AblationPoint, error) {
-	return r.runAblation(Ext12Spec(s, rate))
 }

@@ -7,23 +7,15 @@ import (
 	"repro/internal/traffic"
 )
 
-// Ext13ControllerZoo compares the AIMD window controller against the
-// paper's self-tuned global scheme and the ALO local baseline across
-// three workloads: steady uniform random, steady butterfly, and the
-// Figure 6 bursty schedule. AIMD reacts per source to DECbit marks from
-// its own packets, so it needs no side-band at all; the comparison
-// shows what that end-to-end feedback loop costs (and buys) relative
-// to global full-buffer tuning under each traffic shape.
-func Ext13ControllerZoo(s Scale, rate float64) ([]AblationPoint, error) {
-	return Runner{}.Ext13ControllerZoo(s, rate)
-}
-
-// Ext13Spec is the controller-comparison grid: one group per workload,
-// one point per scheme, labelled "<workload>/<scheme>".
-func Ext13Spec(s Scale, rate float64) *Spec {
-	if rate == 0 {
-		rate = 0.04
-	}
+// ext13Spec compares the AIMD window controller against the paper's
+// self-tuned global scheme and the ALO local baseline across three
+// workloads: steady uniform random, steady butterfly, and the Figure 6
+// bursty schedule. AIMD reacts per source to DECbit marks from its own
+// packets, so it needs no side-band at all; the comparison shows what
+// that end-to-end feedback loop costs (and buys) relative to global
+// full-buffer tuning under each traffic shape. The grid has one group
+// per workload, one point per scheme, labelled "<workload>/<scheme>".
+func ext13Spec(s Scale) *Spec {
 	schemes := []sim.Scheme{
 		{Kind: sim.AIMD},
 		{Kind: sim.SelfTuned},
@@ -35,7 +27,7 @@ func Ext13Spec(s Scale, rate float64) *Spec {
 		for _, sch := range schemes {
 			cfg := baseConfig(s)
 			cfg.Pattern = pat
-			cfg.Rate = rate
+			cfg.Rate = 0.04
 			cfg.Scheme = sch
 			g.Points = append(g.Points, Point{
 				Label: string(pat) + "/" + string(sch.Kind), Config: cfg,
@@ -43,7 +35,7 @@ func Ext13Spec(s Scale, rate float64) *Spec {
 		}
 		spec.Groups = append(spec.Groups, g)
 	}
-	sched := Fig6ScheduleSpec(s)
+	sched := fig6Schedule(s)
 	g := Group{Name: "bursty"}
 	for _, sch := range schemes {
 		cfg := baseConfig(s)
@@ -59,32 +51,17 @@ func Ext13Spec(s Scale, rate float64) *Spec {
 	return spec
 }
 
-// Ext13ControllerZoo runs the controller comparison on this runner's
-// pool.
-func (r Runner) Ext13ControllerZoo(s Scale, rate float64) ([]AblationPoint, error) {
-	return r.runAblation(Ext13Spec(s, rate))
-}
-
-// Ext14NotifyHopDelay sweeps the side-band hop delay under the
-// notification-based controller. Unlike ext5 (where delay only stales
-// the tuner's global view), here the hop delay sets the latency of
-// every congestion notification and — through the staleness default of
-// two gather durations — how long a notified source stays gated, so
-// the sweep measures the control loop's sensitivity to its own
-// feedback latency.
-func Ext14NotifyHopDelay(s Scale, rate float64) ([]AblationPoint, error) {
-	return Runner{}.Ext14NotifyHopDelay(s, rate)
-}
-
-// Ext14Spec is the notification hop-delay sweep's declarative grid.
-func Ext14Spec(s Scale, rate float64) *Spec {
-	if rate == 0 {
-		rate = 0.04
-	}
+// ext14Spec sweeps the side-band hop delay under the notification-based
+// controller. Unlike ext5 (where delay only stales the tuner's global
+// view), here the hop delay sets the latency of every congestion
+// notification and — through the staleness default of two gather
+// durations — how long a notified source stays gated, so the sweep
+// measures the control loop's sensitivity to its own feedback latency.
+func ext14Spec(s Scale) *Spec {
 	var points []Point
 	for _, h := range []int{1, 2, 4, 8} {
 		cfg := baseConfig(s)
-		cfg.Rate = rate
+		cfg.Rate = 0.04
 		cfg.SidebandHopDelay = h
 		cfg.Scheme = sim.Scheme{Kind: sim.Notify}
 		points = append(points, Point{
@@ -92,10 +69,4 @@ func Ext14Spec(s Scale, rate float64) *Spec {
 		})
 	}
 	return ablationSpec("ext14", "notification hop-delay sensitivity", points...)
-}
-
-// Ext14NotifyHopDelay runs the notification hop-delay sweep on this
-// runner's pool.
-func (r Runner) Ext14NotifyHopDelay(s Scale, rate float64) ([]AblationPoint, error) {
-	return r.runAblation(Ext14Spec(s, rate))
 }

@@ -31,6 +31,20 @@ func slowConfig() sim.Config {
 	return cfg
 }
 
+// attachedCtx marks attached done on its first Done call, which
+// Flight.do makes only after finding a call in flight, just before it
+// waits on that call.
+type attachedCtx struct {
+	context.Context
+	once     sync.Once
+	attached *sync.WaitGroup
+}
+
+func (c *attachedCtx) Done() <-chan struct{} {
+	c.once.Do(c.attached.Done)
+	return c.Context.Done()
+}
+
 // Concurrent do calls under one key must collapse to a single
 // execution: one leader runs fn, every follower adopts its result with
 // shared=true.
@@ -67,16 +81,19 @@ func TestFlightCollapsesConcurrentCalls(t *testing.T) {
 
 	const followers = 4
 	followerDone := make(chan outcome, followers)
-	var ready sync.WaitGroup
+	var attached sync.WaitGroup
+	attached.Add(followers)
 	for i := 0; i < followers; i++ {
-		ready.Add(1)
 		go func() {
-			ready.Done()
-			res, hit, shared, err := f.do(context.Background(), "key", followerFn)
+			ctx := &attachedCtx{Context: context.Background(), attached: &attached}
+			res, hit, shared, err := f.do(ctx, "key", followerFn)
 			followerDone <- outcome{res, hit, shared, err}
 		}()
 	}
-	ready.Wait()
+	// Release the leader only once every follower waits on its call;
+	// released earlier, a late follower would find no call in flight
+	// and run followerFn itself.
+	attached.Wait()
 	close(release)
 
 	lead := <-leaderDone

@@ -88,17 +88,6 @@ func PrintTable1(w io.Writer, rows []Table1Row) {
 	}
 }
 
-// PrintFig4 writes the self-tuning traces side by side.
-func PrintFig4(w io.Writer, traces []Fig4Trace) {
-	for _, tr := range traces {
-		fmt.Fprintf(w, "fig4 trace: %s\n", tr.Name)
-		fmt.Fprintf(w, "%12s %12s %14s\n", "cycle", "threshold", "throughput")
-		for i := range tr.Cycle {
-			fmt.Fprintf(w, "%12d %12.1f %14.4f\n", tr.Cycle[i], tr.Threshold[i], tr.Throughput[i])
-		}
-	}
-}
-
 // WriteFig4CSV writes the traces in long form.
 func WriteFig4CSV(w io.Writer, traces []Fig4Trace) error {
 	cw := csv.NewWriter(w)

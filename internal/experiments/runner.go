@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"context"
+	"errors"
 	"runtime"
 	"sync"
 
@@ -13,10 +14,9 @@ import (
 // scheme x deadlock-mode x seed — across a pool of worker goroutines.
 // Each point is a self-contained sim.Engine run (own RNG, own fabric), so
 // points are embarrassingly parallel; the runner only schedules them and
-// reassembles results in deterministic input order. Every figure and
-// extension driver in this package is a method on Runner; the package-
-// level functions of the same names run on the zero Runner, which uses
-// every available CPU.
+// reassembles results in deterministic input order. Registry entries
+// run their grids on RunContext.Runner; the zero Runner uses every
+// available CPU.
 type Runner struct {
 	// Workers caps the number of concurrently running simulations.
 	// Zero or negative selects runtime.GOMAXPROCS(0); 1 runs the whole
@@ -114,7 +114,8 @@ func (r Runner) workerCount(n int) int {
 // pool and blocks until all started jobs finish. fn must store its own
 // result at its index; distinct indices never race. The first error
 // cancels the dispatch of not-yet-started jobs via context, and the
-// returned error is the one with the lowest index among jobs that ran —
+// returned error is the one with the lowest index among jobs that
+// failed on their own (not because a failing sibling canceled them) —
 // so the reported error does not depend on the worker count. A canceled
 // Runner.Ctx stops dispatch the same way and surfaces ctx's error.
 func (r Runner) ForEach(n int, fn func(i int) error) error {
@@ -175,10 +176,15 @@ func (r Runner) forEach(n int, ctxFn func(ctx context.Context, i int) error, fn 
 		go func() {
 			defer wg.Done()
 			for i := range indices {
-				if err := call(ctx, i); err != nil {
-					errs[i] = err
-					cancel()
+				err := call(ctx, i)
+				// A job aborted because a sibling failed has not failed
+				// itself; recording it could mask the sibling's error
+				// behind a lower index.
+				if err == nil || (base.Err() == nil && ctx.Err() != nil && errors.Is(err, context.Canceled)) {
+					continue
 				}
+				errs[i] = err
+				cancel()
 			}
 		}()
 	}

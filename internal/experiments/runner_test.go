@@ -83,6 +83,22 @@ func TestForEachCancelsAfterError(t *testing.T) {
 	}
 }
 
+// A job aborted because a sibling failed must not mask the sibling's
+// error from a lower index.
+func TestForEachSiblingCancelDoesNotMaskError(t *testing.T) {
+	boom := errors.New("boom")
+	err := Runner{Workers: 2}.forEach(2, func(ctx context.Context, i int) error {
+		if i == 1 {
+			return boom
+		}
+		<-ctx.Done()
+		return ctx.Err()
+	}, nil)
+	if !errors.Is(err, boom) {
+		t.Fatalf("err = %v, want %v", err, boom)
+	}
+}
+
 // TestRunnerDeterminism is the headline regression test for the parallel
 // sweep runner: a figure grid must produce byte-identical results no
 // matter how many workers execute it. Fig1 covers the plain rate grid;
@@ -94,15 +110,17 @@ func TestRunnerDeterminism(t *testing.T) {
 	}
 	serial := Runner{Workers: 1}
 	wide := Runner{Workers: 8}
+	curves := func(r Runner, spec *Spec) []Curve {
+		t.Helper()
+		grouped, err := r.RunSpec(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return specCurves(spec.Groups, grouped)
+	}
 
-	f1a, err := serial.Fig1(tiny, tinyRates)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f1b, err := wide.Fig1(tiny, tinyRates)
-	if err != nil {
-		t.Fatal(err)
-	}
+	fig1 := tinySpecOf(t, "fig1", tiny, keepRates(0.005, 0.02))
+	f1a, f1b := curves(serial, fig1), curves(wide, fig1)
 	if !reflect.DeepEqual(f1a, f1b) {
 		t.Errorf("fig1: workers=1 and workers=8 disagree\n1: %+v\n8: %+v", f1a, f1b)
 	}
@@ -112,15 +130,8 @@ func TestRunnerDeterminism(t *testing.T) {
 		t.Errorf("fig1: serialized curves differ:\n%s\n%s", ja, jb)
 	}
 
-	f5a, err := serial.Fig5(tiny, []float64{0.02})
-	if err != nil {
-		t.Fatal(err)
-	}
-	f5b, err := wide.Fig5(tiny, []float64{0.02})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(f5a, f5b) {
+	fig5 := tinySpecOf(t, "fig5", tiny, keepRates(0.02))
+	if f5a, f5b := curves(serial, fig5), curves(wide, fig5); !reflect.DeepEqual(f5a, f5b) {
 		t.Errorf("fig5: workers=1 and workers=8 disagree")
 	}
 }

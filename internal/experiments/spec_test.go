@@ -105,8 +105,8 @@ func TestRegistryEntryMetadata(t *testing.T) {
 		if e.Title == "" || e.About == "" {
 			t.Errorf("entry %q missing Title or About", name)
 		}
-		if e.Spec == nil || e.Run == nil {
-			t.Errorf("entry %q missing Spec or Run", name)
+		if e.Spec == nil || e.Report == nil {
+			t.Errorf("entry %q missing Spec or Report", name)
 		}
 		if spec := e.Spec(Quick); spec.Name != name {
 			t.Errorf("entry %q builds spec named %q", name, spec.Name)

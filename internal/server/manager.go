@@ -45,10 +45,8 @@ type Event struct {
 	Type string `json:"type"`
 	// Points is the grid size (queued and started events).
 	Points int `json:"points,omitempty"`
-	// Point is the completed point (point events). Its Index/Total are
-	// relative to the grid that ran it; registry entries that execute
-	// several grids (fig3 runs one per deadlock mode) emit per-grid
-	// indices while PointsDone counts across the whole job.
+	// Point is the completed point (point events). Its Index/Total
+	// locate it in the job's whole grid.
 	Point *experiments.PointEvent `json:"point,omitempty"`
 	// PointsDone is the job-wide completion count after this event.
 	PointsDone int `json:"points_done,omitempty"`

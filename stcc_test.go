@@ -1,7 +1,9 @@
 package stcc
 
 import (
+	"bytes"
 	"math/rand"
+	"strings"
 	"testing"
 )
 
@@ -178,13 +180,37 @@ func TestPublicEventRecorder(t *testing.T) {
 }
 
 func TestPublicExperimentDrivers(t *testing.T) {
-	if rows := Table1(); len(rows) != 4 {
-		t.Errorf("Table1 rows = %d", len(rows))
+	if names := ExperimentNames(); len(names) != 22 {
+		t.Errorf("ExperimentNames() = %d entries, want 22: %v", len(names), names)
 	}
-	// One tiny end-to-end driver through the facade.
-	curves, err := Fig1(Scale{Warmup: 200, Measure: 1_200}, []float64{0.005})
-	if err != nil || len(curves) != 2 {
-		t.Fatalf("Fig1: %v, %d curves", err, len(curves))
+	tab1, ok := LookupExperiment("tab1")
+	if !ok {
+		t.Fatal("tab1 not registered")
+	}
+	var out bytes.Buffer
+	if err := tab1.Run(ExperimentContext{Out: &out}); err != nil {
+		t.Fatal(err)
+	}
+	if lines := strings.Split(strings.TrimSpace(out.String()), "\n"); len(lines) != 2+4 {
+		t.Errorf("Table 1 report has %d lines, want a title, a header and 4 rows:\n%s", len(lines), out.String())
+	}
+	// One tiny end-to-end grid through the facade: fig1 trimmed to one
+	// rate, run, then reported.
+	fig1, _ := LookupExperiment("fig1")
+	spec := fig1.Spec(Scale{Warmup: 200, Measure: 1_200})
+	for gi := range spec.Groups {
+		spec.Groups[gi].Points = spec.Groups[gi].Points[:1]
+	}
+	grouped, err := Runner{}.RunSpec(spec)
+	if err != nil || len(grouped) != 2 {
+		t.Fatalf("fig1: %v, %d curves", err, len(grouped))
+	}
+	out.Reset()
+	if err := fig1.Report(ExperimentContext{Out: &out}, spec, grouped); err != nil {
+		t.Fatal(err)
+	}
+	if lines := strings.Split(strings.TrimSpace(out.String()), "\n"); len(lines) != 2+2 {
+		t.Errorf("fig1 report has %d lines, want a title, a header and 2 curve rows:\n%s", len(lines), out.String())
 	}
 }
 
