@@ -4,7 +4,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: all build test race bench bench-json determinism lint fmt-check vet stcc-vet vet-json govulncheck fuzz-smoke spec-roundtrip experiments-doc serve serve-smoke cluster-smoke
+.PHONY: all build test race bench determinism lint fmt-check vet stcc-vet vet-json govulncheck fuzz-smoke perfbench-test spec-roundtrip experiments-doc serve serve-smoke cluster-smoke
 
 all: build lint test
 
@@ -20,12 +20,12 @@ race:
 bench:
 	$(GO) test -bench . -benchtime 1x -run '^$$' ./...
 
-# Regenerate the checked-in benchmark-trajectory report. Uses real
-# benchtime (minutes, not a smoke run); see README.md ("Benchmark
-# trajectory") for how to read BENCH_*.json.
-BENCH_LABEL ?= PR10
-bench-json:
-	$(GO) run ./cmd/stcc-bench -label $(BENCH_LABEL) -repeat 3 -out BENCH_$(BENCH_LABEL).json
+# perfbench is its own module, so ./... above never builds or tests it;
+# this runs its unit tests, including the replica-vs-engine lockstep
+# check, against the root module in this tree. See README.md
+# ("Measuring performance").
+perfbench-test:
+	cd perfbench && $(GO) test .
 
 # The determinism gate CI runs as its own job: golden fingerprints, the
 # serial-vs-sharded twin comparison (including mid-run hysteresis flips

@@ -19,10 +19,9 @@ import (
 	"repro/internal/topology"
 )
 
-// steadyStateWarmup is how many cycles each gate steps before measuring.
-// It is longer than the benchmarks' warm-up because the gate must be past
-// every transient growth source (pool fill, queue ramp, suspect list),
-// not merely at representative occupancy.
+// steadyStateWarmup is how many cycles each shape steps before
+// measuring: past every transient growth source (pool fill, queue
+// ramp, suspect list), not merely at representative occupancy.
 const steadyStateWarmup = 8000
 
 // torusSteadyStateWarmup is the 4096-node torus warm-up: one of its
@@ -31,22 +30,117 @@ const steadyStateWarmup = 8000
 // ramp and its sharded scratch-list high-water marks at the gated rate.
 const torusSteadyStateWarmup = 2500
 
-// engineShapes are the operating points the gate (and
-// BenchmarkEngineStep) cover: an idle network, a low offered load, and
+// fabricShape is one bare-fabric operating point: a k-ary n-cube with
+// pool-fed uniform-random injection at rate (start probability per node
+// per cycle), stepped with workers shard workers under dispatch after
+// warmup cycles. prefill packets are stocked in the pool up front.
+type fabricShape struct {
+	name     string
+	k, n     int
+	rate     float64
+	workers  int
+	dispatch router.DispatchPolicy
+	warmup   int
+	prefill  int
+}
+
+// fabricShapes are the operating points the fabric gate and
+// BenchmarkFabricStep cover. The sharded shapes pin Dispatch to
+// "sharded" so the same load runs through the deterministic parallel
+// step even on a single-CPU runner.
+var fabricShapes = []fabricShape{
+	{"idle", 16, 2, 0, 0, 0, steadyStateWarmup, 4096},
+	{"low", 16, 2, 0.002, 0, 0, steadyStateWarmup, 4096},
+	{"saturated", 16, 2, 0.2, 0, 0, steadyStateWarmup, 4096},
+	{"low-sharded", 16, 2, 0.002, 8, router.DispatchSharded, steadyStateWarmup, 4096},
+	{"saturated-sharded", 16, 2, 0.2, 8, router.DispatchSharded, steadyStateWarmup, 4096},
+	{"torus4096-low", 16, 3, 0.002, 0, 0, torusSteadyStateWarmup, 65536},
+	{"torus4096-low-sharded", 16, 3, 0.002, 8, router.DispatchSharded, torusSteadyStateWarmup, 65536},
+}
+
+// fabricRun is one fabric shape past its warm-up.
+type fabricRun struct {
+	fab  *router.Fabric
+	pool *packet.Pool
+	step func() // inject, then advance the fabric one cycle
+}
+
+// startFabric builds s's fabric, feeds injection from a packet pool
+// refilled by the delivery hook, and steps it through s.warmup cycles.
+// The caller closes run.fab.
+func startFabric(s fabricShape) *fabricRun {
+	topo := topology.MustNew(s.k, s.n)
+	fab := router.MustNew(router.Config{
+		Topo: topo, VCs: 3, BufDepth: 8, Mode: router.Recovery, DeadlockTimeout: 160,
+		Workers: s.workers, Dispatch: s.dispatch,
+	})
+	rng := rand.New(rand.NewSource(1))
+	pool := packet.NewPool()
+	// Cover the run's peak in-flight population (the injection sequence
+	// is seeded, so the peak is a fixed property of the shape) so Get
+	// never allocates mid-measurement; the trail capacity covers
+	// worst-case hops.
+	pool.Prefill(s.prefill, 8*s.n*s.k)
+	fab.OnDelivered = pool.Put
+	var id packet.ID
+	step := func() {
+		for n := 0; s.rate > 0 && n < topo.Nodes(); n++ {
+			if rng.Float64() < s.rate && fab.CanStartInjection(topology.NodeID(n)) {
+				dst := topology.NodeID(rng.Intn(topo.Nodes()))
+				if dst == topology.NodeID(n) {
+					continue
+				}
+				fab.StartInjection(pool.Get(id, topology.NodeID(n), dst, 16, fab.Now()))
+				id++
+			}
+		}
+		fab.Step()
+	}
+	for i := 0; i < s.warmup; i++ {
+		step()
+	}
+	return &fabricRun{fab: fab, pool: pool, step: step}
+}
+
+// engineShape is one full-engine operating point.
+type engineShape struct {
+	name   string
+	rate   float64
+	scheme sim.Scheme
+}
+
+// engineShapes are the operating points the engine gate and
+// BenchmarkEngineStep cover: an idle network, a low offered load, and
 // deep saturation with Disha recoveries and throttling active — the
 // saturated point additionally under each feedback-driven controller,
 // so the DECbit marking path, the AIMD window machinery and the
 // notification wheel are all inside the zero-alloc contract.
-var engineShapes = []struct {
-	name   string
-	rate   float64
-	scheme sim.Scheme
-}{
+var engineShapes = []engineShape{
 	{"idle", 0.0001, sim.Scheme{Kind: sim.SelfTuned}},
 	{"low", 0.02, sim.Scheme{Kind: sim.SelfTuned}},
 	{"saturated", 0.06, sim.Scheme{Kind: sim.SelfTuned}},
 	{"aimd-saturated", 0.06, sim.Scheme{Kind: sim.AIMD}},
 	{"notify-saturated", 0.06, sim.Scheme{Kind: sim.Notify}},
+}
+
+// startEngine builds s's engine for incremental stepping and steps it
+// through steadyStateWarmup cycles. MeasureCycles is effectively
+// unbounded because the caller paces the cycle loop with Step.
+func startEngine(tb testing.TB, s engineShape) *sim.Engine {
+	tb.Helper()
+	cfg := sim.NewConfig()
+	cfg.Rate = s.rate
+	cfg.Scheme = s.scheme
+	cfg.WarmupCycles = 1
+	cfg.MeasureCycles = 1 << 40
+	e, err := sim.New(cfg)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	for i := 0; i < steadyStateWarmup; i++ {
+		e.Step()
+	}
+	return e
 }
 
 // engineBytesPerOpCeiling bounds the engine shapes' amortized bytes/op.
@@ -64,26 +158,14 @@ const engineBytesPerOpCeiling = 2048
 
 // TestEngineStepZeroSteadyStateAllocs asserts that a full engine cycle
 // (generation, throttling, injection, network step, sampling) allocates
-// nothing at steady state for all three shapes.
+// nothing at steady state for every engine shape.
 func TestEngineStepZeroSteadyStateAllocs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second steady-state measurement")
 	}
 	for _, tc := range engineShapes {
-		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
-			cfg := sim.NewConfig()
-			cfg.Rate = tc.rate
-			cfg.Scheme = tc.scheme
-			cfg.WarmupCycles = 1
-			cfg.MeasureCycles = 1 << 40 // the loops below pace the cycles
-			e, err := sim.New(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i := 0; i < steadyStateWarmup; i++ {
-				e.Step()
-			}
+			e := startEngine(t, tc)
 			r := testing.Benchmark(func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					e.Step()
@@ -111,74 +193,23 @@ func TestEngineStepZeroSteadyStateAllocs(t *testing.T) {
 // nonzero bytes/op is a leak in the step path (historically: a
 // per-recovery drain-bookkeeping map that escaped to the heap, then a
 // 7 B/op cross-shard handoff-list growth on the 4096-node torus). The
-// sharded shapes pin Dispatch to "sharded" so the same load runs
-// through the deterministic parallel step even on a single-CPU runner,
-// and its scratch buffers (handoff lists, crossbar candidate and move
-// lists, suspect merges) must likewise reach a steady high-water mark
-// and stop growing. The torus4096 shapes gate the big topology whose
-// sharded leak motivated the structural pre-sizing: every per-shard
-// list is now allocated to its structural capacity at construction.
+// sharded shapes' scratch buffers (handoff lists, crossbar candidate
+// and move lists, suspect merges) must likewise reach a steady
+// high-water mark and stop growing. The torus4096 shapes gate the big
+// topology whose sharded leak motivated the structural pre-sizing:
+// every per-shard list is now allocated to its structural capacity at
+// construction.
 func TestFabricStepZeroSteadyStateAllocs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second steady-state measurement")
 	}
-	for _, tc := range []struct {
-		name     string
-		k, n     int
-		rate     float64
-		workers  int
-		dispatch router.DispatchPolicy
-		warmup   int
-		prefill  int
-	}{
-		{"idle", 16, 2, 0, 0, 0, steadyStateWarmup, 4096},
-		{"low", 16, 2, 0.002, 0, 0, steadyStateWarmup, 4096},
-		{"saturated", 16, 2, 0.2, 0, 0, steadyStateWarmup, 4096},
-		{"low-sharded", 16, 2, 0.002, 8, router.DispatchSharded, steadyStateWarmup, 4096},
-		{"saturated-sharded", 16, 2, 0.2, 8, router.DispatchSharded, steadyStateWarmup, 4096},
-		{"torus4096-low", 16, 3, 0.002, 0, 0, torusSteadyStateWarmup, 65536},
-		{"torus4096-low-sharded", 16, 3, 0.002, 8, router.DispatchSharded, torusSteadyStateWarmup, 65536},
-	} {
-		tc := tc
+	for _, tc := range fabricShapes {
 		t.Run(tc.name, func(t *testing.T) {
-			topo := topology.MustNew(tc.k, tc.n)
-			fab := router.MustNew(router.Config{
-				Topo: topo, VCs: 3, BufDepth: 8, Mode: router.Recovery, DeadlockTimeout: 160,
-				Workers: tc.workers, Dispatch: tc.dispatch,
-			})
-			defer fab.Close()
-			rng := rand.New(rand.NewSource(1))
-			pool := packet.NewPool()
-			// Cover the run's peak in-flight population (the injection
-			// sequence is seeded, so the peak is a fixed property of the
-			// shape) so Get never allocates mid-measurement; the check
-			// after measurement proves the estimate held.
-			pool.Prefill(tc.prefill, 8*tc.n*tc.k)
-			fab.OnDelivered = pool.Put
-			var id packet.ID
-			inject := func() {
-				if tc.rate == 0 {
-					return
-				}
-				for n := 0; n < topo.Nodes(); n++ {
-					if rng.Float64() < tc.rate && fab.CanStartInjection(topology.NodeID(n)) {
-						dst := topology.NodeID(rng.Intn(topo.Nodes()))
-						if dst == topology.NodeID(n) {
-							continue
-						}
-						fab.StartInjection(pool.Get(id, topology.NodeID(n), dst, 16, fab.Now()))
-						id++
-					}
-				}
-			}
-			for i := 0; i < tc.warmup; i++ {
-				inject()
-				fab.Step()
-			}
+			run := startFabric(tc)
+			defer run.fab.Close()
 			r := testing.Benchmark(func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					inject()
-					fab.Step()
+					run.step()
 				}
 			})
 			if allocs := r.AllocsPerOp(); allocs != 0 {
@@ -189,11 +220,12 @@ func TestFabricStepZeroSteadyStateAllocs(t *testing.T) {
 				t.Errorf("fabric %s: %d B/op at steady state, want 0 (the fabric has no amortized growth)",
 					tc.name, bytes)
 			}
-			if fresh := pool.Gets() - pool.Reuses(); fresh != 0 {
+			// The prefill estimate held: no packet was allocated fresh.
+			if fresh := run.pool.Gets() - run.pool.Reuses(); fresh != 0 {
 				t.Errorf("fabric %s: %d packets allocated past the prefill; raise the prefill estimate",
 					tc.name, fresh)
 			}
-			if err := fab.CheckInvariants(); err != nil {
+			if err := run.fab.CheckInvariants(); err != nil {
 				t.Errorf("fabric %s: invariants after measurement: %v", tc.name, err)
 			}
 		})

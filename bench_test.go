@@ -18,13 +18,12 @@ import (
 	"bytes"
 	"math/rand"
 	"os"
+	"runtime"
 	"sync"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/experiments"
-	"repro/internal/packet"
-	"repro/internal/router"
 	"repro/internal/sideband"
 	"repro/internal/sim"
 	"repro/internal/topology"
@@ -75,114 +74,63 @@ func BenchmarkRegistry(b *testing.B) {
 
 // ---- Micro-benchmarks of the simulator's hot paths. ----
 
-// BenchmarkRouterStepLoaded measures one network cycle of the paper's
-// 256-node fabric under moderate load.
-func BenchmarkRouterStepLoaded(b *testing.B) {
-	topo := topology.MustNew(16, 2)
-	fab := router.MustNew(router.Config{
-		Topo: topo, VCs: 3, BufDepth: 8, Mode: router.Recovery, DeadlockTimeout: 160,
-	})
-	rng := rand.New(rand.NewSource(1))
-	pool := packet.NewPool()
-	fab.OnDelivered = pool.Put
-	var id packet.ID
-	inject := func() {
-		for n := 0; n < topo.Nodes(); n++ {
-			if rng.Float64() < 0.02 && fab.CanStartInjection(topology.NodeID(n)) {
-				dst := topology.NodeID(rng.Intn(topo.Nodes()))
-				if dst == topology.NodeID(n) {
-					continue
-				}
-				fab.StartInjection(pool.Get(id, topology.NodeID(n), dst, 16, fab.Now()))
-				id++
-			}
-		}
-	}
-	for i := 0; i < 2000; i++ { // warm the network up
-		inject()
-		fab.Step()
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		inject()
-		fab.Step()
-	}
-}
-
-// BenchmarkFabricStep measures one network cycle of the paper's 256-node
-// fabric at three occupancy regimes. The idle and low cases are where the
-// per-node active-set counters pay off (most routers are skipped in O(1));
-// the saturated case checks the bookkeeping does not slow the full-scan
-// regime down. Injection draws from a packet.Pool fed by the delivery
-// hook, so the numbers reflect the fabric's own steady-state allocation
-// behavior rather than the harness's.
+// BenchmarkFabricStep measures one network cycle of the bare fabric at
+// every benchFabricShapes point. The idle and low cases are where the
+// per-node active-set counters pay off (most routers are skipped in
+// O(1)); the saturated case checks the bookkeeping does not slow the
+// full-scan regime down. Each shape warms up once, on its first round,
+// and later rounds continue the same run, so ns/op and allocs/op
+// describe the steady-state cycle.
 func BenchmarkFabricStep(b *testing.B) {
-	for _, tc := range []struct {
-		name string
-		rate float64
-	}{
-		{"idle", 0},
-		{"low", 0.002},
-		{"saturated", 0.2},
-	} {
-		b.Run(tc.name, func(b *testing.B) {
-			topo := topology.MustNew(16, 2)
-			fab := router.MustNew(router.Config{
-				Topo: topo, VCs: 3, BufDepth: 8, Mode: router.Recovery, DeadlockTimeout: 160,
-			})
-			rng := rand.New(rand.NewSource(1))
-			pool := packet.NewPool()
-			pool.Prefill(4096, 32) // cover peak in-flight so Get never allocates mid-run
-			fab.OnDelivered = pool.Put
-			var id packet.ID
-			inject := func() {
-				if tc.rate == 0 {
-					return
-				}
-				for n := 0; n < topo.Nodes(); n++ {
-					if rng.Float64() < tc.rate && fab.CanStartInjection(topology.NodeID(n)) {
-						dst := topology.NodeID(rng.Intn(topo.Nodes()))
-						if dst == topology.NodeID(n) {
-							continue
-						}
-						fab.StartInjection(pool.Get(id, topology.NodeID(n), dst, 16, fab.Now()))
-						id++
-					}
-				}
-			}
-			for i := 0; i < 2000; i++ { // reach steady-state occupancy
-				inject()
-				fab.Step()
+	for _, s := range benchFabricShapes() {
+		var run *fabricRun
+		b.Run(s.name, func(b *testing.B) {
+			if run == nil {
+				run = startFabric(s)
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				inject()
-				fab.Step()
+				run.step()
 			}
 		})
+		if run != nil {
+			run.fab.Close()
+		}
 	}
+}
+
+// benchFabricShapes is fabricShapes plus the 4096-node torus at idle,
+// low and saturated load, stepped serially (w1) and with shard workers
+// under the default occupancy-adaptive dispatch (wN), so each pair
+// shows what that policy ships on this machine. wN is every CPU, or 8
+// on a single-CPU host, where the workers exist but adaptive dispatch
+// steps serially. The gate's torus4096-low is the low w1 row. The
+// saturated rows are too slow to warm up inside the allocation gate,
+// whose forced-sharded rows already cover the parallel step's scratch.
+func benchFabricShapes() []fabricShape {
+	wN := runtime.NumCPU()
+	if wN < 2 {
+		wN = 8
+	}
+	return append(append([]fabricShape(nil), fabricShapes...),
+		fabricShape{"torus4096-idle-w1", 16, 3, 0, 1, 0, torusSteadyStateWarmup, 65536},
+		fabricShape{"torus4096-idle-wN", 16, 3, 0, wN, 0, torusSteadyStateWarmup, 65536},
+		fabricShape{"torus4096-low-wN", 16, 3, 0.002, wN, 0, torusSteadyStateWarmup, 65536},
+		fabricShape{"torus4096-saturated-w1", 16, 3, 0.2, 1, 0, torusSteadyStateWarmup, 65536},
+		fabricShape{"torus4096-saturated-wN", 16, 3, 0.2, wN, 0, torusSteadyStateWarmup, 65536},
+	)
 }
 
 // BenchmarkEngineStep measures a full engine cycle (generation,
-// throttling, network step, sampling) at three operating points of the
-// self-tuned configuration. The engine is stepped to steady state before
-// the timer starts, so ns/op and allocs/op describe the steady-state hot
-// path, not the construction and ramp-up transient.
+// throttling, network step, sampling) at every engineShapes point,
+// warmed up once like BenchmarkFabricStep.
 func BenchmarkEngineStep(b *testing.B) {
-	for _, tc := range []struct {
-		name string
-		rate float64
-	}{
-		{"idle", 0.0001},
-		{"low", 0.02},
-		{"saturated", 0.06},
-	} {
-		b.Run(tc.name, func(b *testing.B) {
-			e := newBenchEngine(b, tc.rate)
-			for i := 0; i < 2000; i++ { // reach steady-state occupancy
-				e.Step()
+	for _, s := range engineShapes {
+		var e *sim.Engine
+		b.Run(s.name, func(b *testing.B) {
+			if e == nil {
+				e = startEngine(b, s)
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -191,23 +139,6 @@ func BenchmarkEngineStep(b *testing.B) {
 			}
 		})
 	}
-}
-
-// newBenchEngine builds a self-tuned engine for incremental stepping;
-// MeasureCycles is effectively unbounded because the caller paces the
-// cycle loop with Step.
-func newBenchEngine(b *testing.B, rate float64) *sim.Engine {
-	b.Helper()
-	cfg := sim.NewConfig()
-	cfg.Rate = rate
-	cfg.Scheme = sim.Scheme{Kind: sim.SelfTuned}
-	cfg.WarmupCycles = 1
-	cfg.MeasureCycles = 1 << 40
-	e, err := sim.New(cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	return e
 }
 
 // BenchmarkTopologyMinimalPorts measures adaptive route candidate

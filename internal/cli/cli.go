@@ -21,6 +21,7 @@ import (
 
 	stcc "repro"
 	"repro/internal/analysis"
+	"repro/internal/congestion"
 	"repro/internal/dispatch"
 	"repro/internal/experiments"
 	"repro/internal/resultcache"
@@ -139,7 +140,7 @@ func netFlags(fs *flag.FlagSet) func() (sim.Config, error) {
 	warmup := fs.Int64("warmup", 100_000, "warm-up cycles (ignored in statistics)")
 	measure := fs.Int64("measure", 500_000, "measured cycles")
 	seed := fs.Int64("seed", 1, "random seed")
-	scheme := fs.String("scheme", "base", "congestion control: base, alo, static, tune, tune-hillclimb")
+	scheme := fs.String("scheme", "base", "congestion control: "+strings.Join(congestion.Names(), ", "))
 	threshold := fs.Float64("threshold", 250, "full-buffer threshold for -scheme static")
 	estimator := fs.String("estimator", "linear", "congestion estimator: linear or last")
 	period := fs.Int64("period", 0, "tuning period in cycles (0 = 3 gather durations)")

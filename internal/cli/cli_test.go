@@ -10,6 +10,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/congestion"
 	"repro/internal/experiments"
 )
 
@@ -20,13 +21,14 @@ func small(extra ...string) []string {
 }
 
 func TestCmdRunSchemes(t *testing.T) {
-	for _, scheme := range []string{"base", "alo", "tune", "tune-hillclimb"} {
-		if err := cmdRun(context.Background(), small("-scheme", scheme)); err != nil {
+	for _, scheme := range congestion.Names() {
+		args := small("-scheme", scheme)
+		if scheme == "static" {
+			args = append(args, "-threshold", "50")
+		}
+		if err := cmdRun(context.Background(), args); err != nil {
 			t.Errorf("run -scheme %s: %v", scheme, err)
 		}
-	}
-	if err := cmdRun(context.Background(), small("-scheme", "static", "-threshold", "50")); err != nil {
-		t.Errorf("run -scheme static: %v", err)
 	}
 }
 

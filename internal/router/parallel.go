@@ -142,7 +142,8 @@ type workerPool struct {
 // here, so sharded stepping never grows a slice mid-run: a high-water
 // mark that creeps up logarithmically under random traffic otherwise
 // shows up as a few bytes/op that no warmup length can amortize away
-// (the 7 B/op residue on torus4096/low in BENCH_PR6.json).
+// (a 7 B/op residue once measured on the sharded 4096-node torus at low
+// load, now gated by TestFabricStepZeroSteadyStateAllocs).
 func (f *Fabric) initShards() {
 	w := f.cfg.Workers
 	nodes := len(f.nodes)
