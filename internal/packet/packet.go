@@ -7,7 +7,6 @@ package packet
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"repro/internal/topology"
 )
@@ -118,9 +117,11 @@ type Packet struct {
 	// Mode is the packet's current routing mode.
 	Mode Mode
 
-	// LastProgress is the last cycle any flit of this packet advanced
-	// (was injected, routed, or moved through a crossbar or link).
-	// Deadlock detection times out on this.
+	// LastProgress is the packet's progress stamp before injection: the
+	// generator sets it (Progress) before handing the packet to the
+	// router, which seeds its own per-packet record from it. From then
+	// on the router stamps progress in that record, not here, so for a
+	// packet in flight LastProgress is stale.
 	LastProgress int64
 
 	// Hops counts the routers at which the head flit has been routed.
@@ -163,7 +164,6 @@ func New(id ID, src, dst topology.NodeID, length int, now int64) *Packet {
 	return &Packet{
 		ID: id, Src: src, Dst: dst, Length: length,
 		CreatedAt: now, InjectedAt: -1, DeliveredAt: -1,
-		//stcc:atomicguard construction precedes publication; no concurrent reader exists yet
 		LastProgress: now,
 		SrcRemaining: length,
 	}
@@ -181,7 +181,6 @@ func (p *Packet) reset(id ID, src, dst topology.NodeID, length int, now int64) {
 	*p = Packet{
 		ID: id, Src: src, Dst: dst, Length: length,
 		CreatedAt: now, InjectedAt: -1, DeliveredAt: -1,
-		//stcc:atomicguard reset happens on the pool free list; no concurrent reader exists
 		LastProgress: now,
 		SrcRemaining: length,
 		Trail:        trail,
@@ -230,45 +229,18 @@ func (p *Packet) TotalLatency() int64 {
 	return p.DeliveredAt - p.CreatedAt
 }
 
-// Progress marks that the packet advanced at cycle now. It is the
-// serial-phase counterpart of ProgressAtomic: injection and coordinator
-// rounds run single-threaded, barrier-ordered against stage workers.
+// Progress sets the pre-injection progress stamp to cycle now; the
+// simulator calls it just before handing the packet to the router.
 //
 //stcc:hotpath
-func (p *Packet) Progress(now int64) {
-	//stcc:atomicguard serial phases are barrier-ordered with the atomic stage stores
-	p.LastProgress = now
-}
+func (p *Packet) Progress(now int64) { p.LastProgress = now }
 
-// ProgressAtomic is Progress for concurrent stage workers: several flits
-// of one worm can advance at different routers within the same parallel
-// round, so the store must be atomic. Every writer stores the same cycle
-// value, which keeps the result identical to serial stepping.
+// BlockedFor returns how many cycles have passed since the LastProgress
+// stamp as of cycle now. Only meaningful before injection: the router
+// tracks an in-flight packet's progress in its own records.
 //
 //stcc:hotpath
-func (p *Packet) ProgressAtomic(now int64) { atomic.StoreInt64(&p.LastProgress, now) }
-
-// BlockedFor returns how many cycles the packet has gone without progress
-// as of cycle now. Deadlock detection runs in the serial referee phase,
-// after every stage worker's atomic store has been barrier-ordered.
-//
-//stcc:hotpath
-func (p *Packet) BlockedFor(now int64) int64 {
-	//stcc:atomicguard detection reads in the serial phase, after the worker barrier
-	return now - p.LastProgress
-}
-
-// BlockedForAtomic is BlockedFor for a detection scan that shares a
-// parallel round with injection at other shards. The racing stores all
-// carry the current cycle, and any packet they touch made progress no
-// earlier than the previous cycle, so whichever value the load observes
-// the packet reads as blocked for at most one cycle — far below any
-// valid timeout. The atomic load only keeps the race detector honest.
-//
-//stcc:hotpath
-func (p *Packet) BlockedForAtomic(now int64) int64 {
-	return now - atomic.LoadInt64(&p.LastProgress)
-}
+func (p *Packet) BlockedFor(now int64) int64 { return now - p.LastProgress }
 
 // PushTrail records that the head flit entered loc.
 //

@@ -115,7 +115,7 @@ func (a *activeWords) init(nodes int) {
 func (a *activeWords) set(i int32) {
 	w := i >> 6
 	if a.actWords[w] == 0 {
-		atomic.OrUint64(&a.sumWords[w>>6], 1<<uint(w&63))
+		orUint64(&a.sumWords[w>>6], 1<<uint(w&63))
 	}
 	a.actWords[w] |= 1 << uint(i&63)
 }
@@ -124,7 +124,33 @@ func (a *activeWords) set(i int32) {
 func (a *activeWords) clearBit(i int32) {
 	w := i >> 6
 	if a.actWords[w] &^= 1 << uint(i&63); a.actWords[w] == 0 {
-		atomic.AndUint64(&a.sumWords[w>>6], ^(uint64(1) << uint(w&63)))
+		andUint64(&a.sumWords[w>>6], ^(uint64(1) << uint(w&63)))
+	}
+}
+
+// orUint64 atomically sets the bits of mask in *addr, and andUint64
+// atomically keeps only the bits of mask. They are compare-and-swap
+// loops rather than sync/atomic's OrUint64/AndUint64, which need Go 1.23
+// (go.mod targets 1.22); the stored bits are the same and concurrent
+// updates of distinct bits still commute.
+//
+//stcc:hotpath
+func orUint64(addr *uint64, mask uint64) {
+	for {
+		old := atomic.LoadUint64(addr)
+		if atomic.CompareAndSwapUint64(addr, old, old|mask) {
+			return
+		}
+	}
+}
+
+//stcc:hotpath
+func andUint64(addr *uint64, mask uint64) {
+	for {
+		old := atomic.LoadUint64(addr)
+		if atomic.CompareAndSwapUint64(addr, old, old&mask) {
+			return
+		}
 	}
 }
 
@@ -153,88 +179,105 @@ func (a *activeWords) anyIn(lo, hi int) bool {
 	return a.sumWords[shi]&last != 0
 }
 
-// flit is one flow-control unit: the idx-th flit of pkt. arrived is the
-// cycle the flit entered its current buffer; the routing arbiter uses it
-// to give headers the paper's one-cycle routing delay.
+// flit is one flow-control unit: the idx-th flit of the packet in slot
+// slot of the fabric's slot table. Eight bytes and pointer-free, so the
+// flit-ring arena is never scanned by the garbage collector. Slot 0 is
+// never assigned, so the zero flit is "no flit". The per-packet state a
+// flit move consults — mode, length, progress stamp, header arrival
+// cycle — lives in the slot record (see slots.go).
 type flit struct {
-	pkt     *packet.Packet
-	idx     int
-	arrived int64
+	slot int32
+	idx  int32
 }
 
 //stcc:hotpath
-func (f flit) valid() bool { return f.pkt != nil }
+func (f flit) valid() bool { return f.slot != 0 }
 
 //stcc:hotpath
 func (f flit) isHead() bool { return f.idx == 0 }
 
-//stcc:hotpath
-func (f flit) isTail() bool { return f.idx == f.pkt.Length-1 }
-
 // vcBuffer is one virtual channel's edge buffer: a fixed-capacity FIFO of
 // flits, plus the wormhole binding state (which output VC the packet at
-// its front has been allocated). Buffers live in a per-fabric arena and
-// their flit rings are windows into a shared backing slice (see New);
-// a buffer's identity is its arena address, which is stable for the
-// fabric's lifetime. The occupancy count itself lives in the fabric's
-// contiguous occ array (indexed by gid), so a remote credit check reads
-// one hot array element instead of pulling in the whole buffer struct.
+// its front has been allocated). Buffers live in a per-fabric arena
+// indexed by gid, and the flit ring of buffer gid is the window
+// flits[gid*BufDepth:][:BufDepth] of the fabric's flit arena; a buffer's
+// identity is its arena address, which is stable for the fabric's
+// lifetime. The occupancy count itself lives in the fabric's contiguous
+// occ array (indexed by gid), so a remote credit check reads one hot
+// array element instead of pulling in the whole buffer struct.
 type vcBuffer struct {
 	fab  *Fabric
 	node topology.NodeID
-	port int // input port (physical, or the injection port)
-	vc   int
+	port int32 // input port (physical, or the injection port)
+	vc   int32
 
 	gid  int32 // global input-lane index (node*lanesIn + lane) into fab.occ
-	lane uint8 // node-local input-lane index: bit position in the lane masks
+	head int32 // ring index of the front flit
 
-	buf  []flit // ring window into the fabric's flit arena, fixed capacity
-	head int
+	// Wormhole binding: boundSlot is the slot of the packet whose header
+	// was routed from the front of this buffer (0 = unbound), outPort
+	// and outVC the output VC it was allocated; cleared when its tail
+	// flit leaves the buffer.
+	boundSlot int32
+	outPort   int32
+	outVC     int32
+
+	lane uint8 // node-local input-lane index: bit position in the lane masks
 
 	// countable buffers contribute to the global full-buffer metric
 	// (physical-channel VCs only, matching the paper's 3072 count).
 	countable bool
-
-	// Wormhole binding: set when the front packet's header is routed,
-	// cleared when its tail flit leaves the buffer.
-	bound    bool
-	boundPkt *packet.Packet
-	outPort  int
-	outVC    int
 }
+
+//stcc:hotpath
+func (b *vcBuffer) bound() bool { return b.boundSlot != 0 }
 
 //stcc:hotpath
 func (b *vcBuffer) len() int { return int(b.fab.occ[b.gid]) }
 
 //stcc:hotpath
-func (b *vcBuffer) cap() int { return len(b.buf) }
+func (b *vcBuffer) full() bool { return b.fab.occ[b.gid] == b.fab.depth }
 
+// ring returns the buffer's flit ring, a window into the fabric's
+// node-major flit arena.
+//
 //stcc:hotpath
-func (b *vcBuffer) full() bool { return int(b.fab.occ[b.gid]) == len(b.buf) }
+func (b *vcBuffer) ring() []flit {
+	d := b.fab.depth
+	lo := b.gid * d
+	return b.fab.flits[lo : lo+d : lo+d]
+}
 
 //stcc:hotpath
 func (b *vcBuffer) front() flit {
-	if b.fab.occ[b.gid] == 0 {
+	fab := b.fab
+	if fab.occ[b.gid] == 0 {
 		return flit{}
 	}
-	return b.buf[b.head]
+	return fab.flits[b.gid*fab.depth+b.head]
 }
 
+// push appends f at the tail of the ring. A header push also records
+// the header's arrival (the slot's headArr, read by the routing
+// arbiter's one-cycle routing delay), extends the packet's trail, and
+// applies the DECbit mark.
+//
 //stcc:hotpath
 func (b *vcBuffer) push(f flit, nc *netCounters) {
 	fab := b.fab
 	n := fab.occ[b.gid]
-	if int(n) == len(b.buf) {
+	d := fab.depth
+	if n == d {
 		panic(fmt.Sprintf("router: overflow of %v", b))
 	}
 	// Conditional wrap instead of %: the ring index is always already in
 	// range, and avoiding the integer division matters on a path run for
 	// every flit movement in the network.
-	i := b.head + int(n)
-	if i >= len(b.buf) {
-		i -= len(b.buf)
+	i := b.head + n
+	if i >= d {
+		i -= d
 	}
-	b.buf[i] = f
+	fab.flits[b.gid*d+i] = f
 	fab.occ[b.gid] = n + 1
 	if n == 0 {
 		bit := uint64(1) << b.lane
@@ -244,13 +287,20 @@ func (b *vcBuffer) push(f flit, nc *netCounters) {
 		if f.idx == 0 {
 			fab.headMask[b.node] |= bit
 		}
-		if !b.bound {
+		if !b.bound() {
 			nc.pendingIns++
 			fab.actPending.set(int32(b.node))
 		}
 	}
-	if b.countable && int(n)+1 == len(b.buf) {
+	if b.countable && n+1 == d {
 		nc.fullBuffers++
+	}
+	if f.idx == 0 {
+		// A packet's header is in exactly one buffer, so exactly one
+		// shard writes its arrival stamp and trail per cycle, and only
+		// that shard's arbiter reads headArr (see slots.go).
+		fab.slots[f.slot].headArr = fab.now
+		fab.slotPkt[f.slot].PushTrail(b)
 	}
 	if fab.markHi > 0 && b.countable {
 		// DECbit maintenance. The bit raises against the live per-node
@@ -265,7 +315,7 @@ func (b *vcBuffer) push(f flit, nc *netCounters) {
 			fab.congWords[b.node>>6] |= 1 << uint(b.node&63)
 		}
 		if f.idx == 0 && fab.congStable[b.node>>6]&(1<<uint(b.node&63)) != 0 {
-			f.pkt.Marked = true
+			fab.slotPkt[f.slot].Marked = true
 		}
 	}
 }
@@ -274,16 +324,18 @@ func (b *vcBuffer) push(f flit, nc *netCounters) {
 func (b *vcBuffer) pop(nc *netCounters) flit {
 	fab := b.fab
 	n := fab.occ[b.gid]
+	d := fab.depth
 	if n == 0 {
 		panic(fmt.Sprintf("router: underflow of %v", b))
 	}
-	if b.countable && int(n) == len(b.buf) {
+	if b.countable && n == d {
 		nc.fullBuffers--
 	}
-	f := b.buf[b.head]
-	b.buf[b.head] = flit{}
+	ring := b.ring()
+	f := ring[b.head]
+	ring[b.head] = flit{}
 	b.head++
-	if b.head == len(b.buf) {
+	if b.head == d {
 		b.head = 0
 	}
 	n--
@@ -296,13 +348,13 @@ func (b *vcBuffer) pop(nc *netCounters) flit {
 			fab.actOccupied.clearBit(int32(b.node))
 		}
 		nc.occupiedIns--
-		if !b.bound {
+		if !b.bound() {
 			nc.pendingIns--
 			if fab.occMask[b.node]&^fab.boundMask[b.node] == 0 {
 				fab.actPending.clearBit(int32(b.node))
 			}
 		}
-	} else if b.buf[b.head].idx == 0 {
+	} else if ring[b.head].idx == 0 {
 		fab.headMask[b.node] |= bit
 	} else {
 		fab.headMask[b.node] &^= bit
@@ -320,17 +372,16 @@ func (b *vcBuffer) pop(nc *netCounters) flit {
 	return f
 }
 
-// setBinding records the wormhole route decision for the packet at the
-// front of b. The buffer leaves the pending set: its front is no longer
-// an unrouted header.
+// setBinding records the wormhole route decision for the packet in slot
+// s at the front of b. The buffer leaves the pending set: its front is
+// no longer an unrouted header.
 //
 //stcc:hotpath
-func (b *vcBuffer) setBinding(pkt *packet.Packet, port, vc int, nc *netCounters) {
+func (b *vcBuffer) setBinding(s int32, port, vc int, nc *netCounters) {
 	fab := b.fab
-	b.bound = true
-	b.boundPkt = pkt
-	b.outPort = port
-	b.outVC = vc
+	b.boundSlot = s
+	b.outPort = int32(port)
+	b.outVC = int32(vc)
 	fab.boundMask[b.node] |= uint64(1) << b.lane
 	if fab.occ[b.gid] > 0 {
 		nc.pendingIns--
@@ -347,8 +398,7 @@ func (b *vcBuffer) setBinding(pkt *packet.Packet, port, vc int, nc *netCounters)
 //stcc:hotpath
 func (b *vcBuffer) clearBinding(nc *netCounters) {
 	fab := b.fab
-	b.bound = false
-	b.boundPkt = nil
+	b.boundSlot = 0
 	b.outPort = 0
 	b.outVC = 0
 	fab.boundMask[b.node] &^= uint64(1) << b.lane
@@ -362,13 +412,14 @@ func (b *vcBuffer) clearBinding(nc *netCounters) {
 //
 //stcc:hotpath
 func (b *vcBuffer) CountOf(p *packet.Packet) int {
+	ring := b.ring()
 	c := 0
-	i := b.head
+	i := int(b.head)
 	for k := 0; k < b.len(); k++ {
-		if b.buf[i].pkt == p {
+		if b.fab.slotPkt[ring[i].slot] == p {
 			c++
 		}
-		if i++; i == len(b.buf) {
+		if i++; i == len(ring) {
 			i = 0
 		}
 	}
@@ -381,9 +432,8 @@ func (b *vcBuffer) CountOf(p *packet.Packet) int {
 //
 //stcc:hotpath
 func (b *vcBuffer) EvictFront(p *packet.Packet) {
-	f := b.front()
-	if f.pkt != p {
-		panic(fmt.Sprintf("router: EvictFront of %v: front belongs to %v, not %v", b, f.pkt, p))
+	if q := b.fab.slotPkt[b.front().slot]; q != p {
+		panic(fmt.Sprintf("router: EvictFront of %v: front belongs to %v, not %v", b, q, p))
 	}
 	b.pop(&b.fab.net)
 }
@@ -394,26 +444,28 @@ func (b *vcBuffer) String() string {
 
 // latch is the one-flit output register between a router's crossbar and
 // its outgoing link (or the delivery channel). A flit spends exactly one
-// cycle here: crossbar traversal fills it, link traversal drains it.
+// cycle here: crossbar traversal fills it, link traversal drains it. The
+// latch is full iff f is a valid flit.
 type latch struct {
 	fab  *Fabric
-	node topology.NodeID
-	port int
-	vc   int
-	lane uint8 // node-local output-lane index: bit position in the lane masks
 	f    flit
-	full bool
+	node int32
+	port int32
+	vc   int32
+	lane uint8 // node-local output-lane index: bit position in the lane masks
 }
 
 //stcc:hotpath
+func (l *latch) full() bool { return l.f.slot != 0 }
+
+//stcc:hotpath
 func (l *latch) set(f flit, nc *netCounters) {
-	if l.full {
+	if l.full() {
 		panic(fmt.Sprintf("router: latch collision at %v", l))
 	}
 	l.f = f
-	l.full = true
 	l.fab.latchMask[l.node] |= uint64(1) << l.lane
-	l.fab.actLatched.set(int32(l.node))
+	l.fab.actLatched.set(l.node)
 	nc.latched++
 }
 
@@ -421,10 +473,9 @@ func (l *latch) set(f flit, nc *netCounters) {
 func (l *latch) clear(nc *netCounters) flit {
 	f := l.f
 	l.f = flit{}
-	l.full = false
 	l.fab.latchMask[l.node] &^= uint64(1) << l.lane
 	if l.fab.latchMask[l.node] == 0 {
-		l.fab.actLatched.clearBit(int32(l.node))
+		l.fab.actLatched.clearBit(l.node)
 	}
 	nc.latched--
 	return f
@@ -434,7 +485,7 @@ func (l *latch) clear(nc *netCounters) flit {
 //
 //stcc:hotpath
 func (l *latch) CountOf(p *packet.Packet) int {
-	if l.full && l.f.pkt == p {
+	if l.full() && l.fab.slotPkt[l.f.slot] == p {
 		return 1
 	}
 	return 0
@@ -445,7 +496,7 @@ func (l *latch) CountOf(p *packet.Packet) int {
 //
 //stcc:hotpath
 func (l *latch) EvictFront(p *packet.Packet) {
-	if !l.full || l.f.pkt != p {
+	if !l.full() || l.fab.slotPkt[l.f.slot] != p {
 		panic(fmt.Sprintf("router: EvictFront of %v: not holding a flit of %v", l, p))
 	}
 	l.clear(&l.fab.net)
@@ -460,15 +511,16 @@ func (l *latch) String() string {
 type srcSlot struct {
 	fab  *Fabric
 	node topology.NodeID
-	pkt  *packet.Packet // nil when no packet is streaming
+	slot int32 // the streaming packet's slot; 0 when none is streaming
 }
 
-// setPacket starts streaming p; like the other accessors in this file it
-// keeps the active-source bitset and counter in lockstep.
+// setPacket starts streaming the packet in slot; like the other
+// accessors in this file it keeps the active-source bitset and counter
+// in lockstep.
 //
 //stcc:hotpath
-func (s *srcSlot) setPacket(p *packet.Packet, nc *netCounters) {
-	s.pkt = p
+func (s *srcSlot) setPacket(slot int32, nc *netCounters) {
+	s.slot = slot
 	s.fab.actSrc.set(int32(s.node))
 	nc.srcActive++
 }
@@ -477,7 +529,7 @@ func (s *srcSlot) setPacket(p *packet.Packet, nc *netCounters) {
 //
 //stcc:hotpath
 func (s *srcSlot) clearPacket(nc *netCounters) {
-	s.pkt = nil
+	s.slot = 0
 	s.fab.actSrc.clearBit(int32(s.node))
 	nc.srcActive--
 }
@@ -486,7 +538,7 @@ func (s *srcSlot) clearPacket(nc *netCounters) {
 //
 //stcc:hotpath
 func (s *srcSlot) CountOf(p *packet.Packet) int {
-	if s.pkt == p {
+	if s.fab.slotPkt[s.slot] == p {
 		return p.SrcRemaining
 	}
 	return 0
@@ -497,7 +549,7 @@ func (s *srcSlot) CountOf(p *packet.Packet) int {
 //
 //stcc:hotpath
 func (s *srcSlot) EvictFront(p *packet.Packet) {
-	if s.pkt != p || p.SrcRemaining == 0 {
+	if s.fab.slotPkt[s.slot] != p || p.SrcRemaining == 0 {
 		panic(fmt.Sprintf("router: EvictFront of source %d: not streaming %v", s.node, p))
 	}
 	p.SrcRemaining--
@@ -508,34 +560,37 @@ func (s *srcSlot) EvictFront(p *packet.Packet) {
 
 // outVC is one output virtual channel: ownership (a packet holds an
 // output VC from header allocation until its tail crosses the link) plus
-// the output latch.
+// the output latch. The owner is named by its slot and by the gid of the
+// input buffer its flits stream from, so the crossbar's frozen and
+// occupancy checks read the slot table and the occ array, never the
+// owning vcBuffer.
 type outVC struct {
-	owner    *vcBuffer // input VC whose packet owns this output VC
-	ownerPkt *packet.Packet
-	lat      latch
+	ownerSlot int32 // 0 when free
+	ownerGid  int32 // input lane (gid) feeding this output VC
+	lat       latch
 }
 
 //stcc:hotpath
-func (o *outVC) free() bool { return o.ownerPkt == nil }
+func (o *outVC) free() bool { return o.ownerSlot == 0 }
 
 //stcc:hotpath
-func (o *outVC) acquire(b *vcBuffer, pkt *packet.Packet, nc *netCounters) {
-	o.owner = b
-	o.ownerPkt = pkt
+func (o *outVC) acquire(gid, slot int32, nc *netCounters) {
+	o.ownerSlot = slot
+	o.ownerGid = gid
 	fab := o.lat.fab
 	fab.ownedMask[o.lat.node] |= uint64(1) << o.lat.lane
-	fab.actOwned.set(int32(o.lat.node))
+	fab.actOwned.set(o.lat.node)
 	nc.ownedOuts++
 }
 
 //stcc:hotpath
 func (o *outVC) release(nc *netCounters) {
-	o.owner = nil
-	o.ownerPkt = nil
+	o.ownerSlot = 0
+	o.ownerGid = 0
 	fab := o.lat.fab
 	fab.ownedMask[o.lat.node] &^= uint64(1) << o.lat.lane
 	if fab.ownedMask[o.lat.node] == 0 {
-		fab.actOwned.clearBit(int32(o.lat.node))
+		fab.actOwned.clearBit(o.lat.node)
 	}
 	nc.ownedOuts--
 }

@@ -13,14 +13,15 @@ type decbitHarness struct {
 	t    *testing.T
 	f    *Fabric
 	bufs []*vcBuffer
-	pkt  *packet.Packet // filler body flits; never routed
+	slot int32 // slot of the filler packet whose body flits fill buffers; never routed
 	occ  int
 }
 
 func newDecbitHarness(t *testing.T, mark float64) *decbitHarness {
 	cfg := testConfig(4, Recovery)
 	cfg.CongestMark = mark
-	h := &decbitHarness{t: t, f: MustNew(cfg), pkt: packet.New(1, 0, 1, 1, 0)}
+	h := &decbitHarness{t: t, f: MustNew(cfg)}
+	h.slot = h.f.takeSlot(packet.New(1, 0, 1, 1, 0))
 	nd := &h.f.nodes[0]
 	for p := range nd.inputs {
 		for v := range nd.inputs[p] {
@@ -36,7 +37,7 @@ func newDecbitHarness(t *testing.T, mark float64) *decbitHarness {
 func (h *decbitHarness) push() {
 	for _, b := range h.bufs {
 		if !b.full() {
-			b.push(flit{pkt: h.pkt, idx: 1}, &h.f.net)
+			b.push(flit{slot: h.slot, idx: 1}, &h.f.net)
 			h.occ++
 			return
 		}
@@ -120,19 +121,19 @@ func TestHeaderMarkingUsesSnapshot(t *testing.T) {
 
 	// Live bit set, snapshot still from the empty network: no mark.
 	early := packet.New(2, 0, 1, 4, 0)
-	h.bufs[len(h.bufs)-1].push(flit{pkt: early, idx: 0}, &h.f.net)
+	h.bufs[len(h.bufs)-1].push(flit{slot: h.f.takeSlot(early), idx: 0}, &h.f.net)
 	if early.Marked {
 		t.Fatal("header marked against the live bit before any snapshot")
 	}
 
 	h.f.snapshotCongestion()
 	late := packet.New(3, 0, 1, 4, 0)
-	h.bufs[len(h.bufs)-1].push(flit{pkt: late, idx: 0}, &h.f.net)
+	h.bufs[len(h.bufs)-1].push(flit{slot: h.f.takeSlot(late), idx: 0}, &h.f.net)
 	if !late.Marked {
 		t.Fatal("header pushed at a congested router after the snapshot not marked")
 	}
 	body := packet.New(4, 0, 1, 4, 0)
-	h.bufs[len(h.bufs)-1].push(flit{pkt: body, idx: 1}, &h.f.net)
+	h.bufs[len(h.bufs)-1].push(flit{slot: h.f.takeSlot(body), idx: 1}, &h.f.net)
 	if body.Marked {
 		t.Fatal("body flit marked its packet")
 	}
@@ -145,7 +146,7 @@ func TestHeaderMarkingUsesSnapshot(t *testing.T) {
 	h.check(false)
 	h.f.snapshotCongestion()
 	after := packet.New(5, 0, 1, 4, 0)
-	h.bufs[0].push(flit{pkt: after, idx: 0}, &h.f.net)
+	h.bufs[0].push(flit{slot: h.f.takeSlot(after), idx: 0}, &h.f.net)
 	if after.Marked {
 		t.Fatal("header marked after the router drained and the snapshot refreshed")
 	}

@@ -258,7 +258,9 @@ func TestCutThroughBlockedPacketFitsOneBuffer(t *testing.T) {
 			if p.Delivered() || p.InjectedAt < 0 || p.SrcRemaining > 0 {
 				continue
 			}
-			if p.BlockedFor(f.Now()) > 4 && len(p.Trail) > 0 {
+			// Blocked time comes from the fabric's slot record: the
+			// packet's own LastProgress is only its pre-injection stamp.
+			if s := slotOf(f, p); s != 0 && f.blockedFor(s, f.Now()) > 4 && len(p.Trail) > 0 {
 				last := p.Trail[len(p.Trail)-1]
 				if last.CountOf(p) == p.Length {
 					sawCompact = true

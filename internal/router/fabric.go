@@ -245,6 +245,11 @@ func (c Config) Validate() error {
 	if out := c.Topo.PhysPorts()*c.VCs + dlv; out > 64 {
 		return fmt.Errorf("router: %d output lanes per node exceed the 64-lane mask width", out)
 	}
+	// Flit-ring and lane indices are int32 (half the per-lane bytes of
+	// int), so the whole flit arena must be addressable by one.
+	if flits := int64(c.Topo.Nodes()) * int64(c.Topo.PhysPorts()*c.VCs+1) * int64(c.BufDepth); flits > math.MaxInt32 {
+		return fmt.Errorf("router: %d buffered flit slots exceed the int32 arena index", flits)
+	}
 	switch c.Selection {
 	case RotatePorts, FirstPort, MostFreeVCs:
 	default:
@@ -311,12 +316,13 @@ type stepCtx struct {
 // statistics live in the sim package on top.
 //
 // The hot per-lane state is structure-of-arrays: the flit rings and
-// buffer structs sit in node-major arenas (bufs, outsA), per-lane
+// buffer structs sit in node-major arenas (flits, bufs, outsA), per-lane
 // occupancy in one contiguous occ array, per-node lane masks and
 // node-level active bitsets beside them. The per-cycle stages iterate
 // set bits instead of scanning ports and VCs, and a credit check against
 // a neighbor touches one occ element instead of the neighbor's buffer
-// struct.
+// struct. Flits carry a packet slot instead of a packet pointer; the
+// per-packet state a flit move reads sits in the slot table.
 type Fabric struct {
 	cfg   Config
 	topo  *topology.Torus
@@ -331,9 +337,19 @@ type Fabric struct {
 
 	// Arenas, node-major by lane: bufs[node*lanesIn+lane] and
 	// outsA[node*lanesOut+lane]. nodes[i].inputs/outs are windows into
-	// the same storage.
+	// the same storage. flits holds every buffer's ring, also
+	// node-major: buffer gid owns flits[gid*depth : (gid+1)*depth].
 	bufs  []vcBuffer
 	outsA []outVC
+	flits []flit
+	depth int32 // Config.BufDepth: every ring's capacity
+
+	// The slot table (see slots.go): hot per-packet records and the
+	// cold slot -> packet map, both indexed by flit.slot, plus the LIFO
+	// free list of released slots.
+	slots     []slotRec
+	slotPkt   []*packet.Packet
+	freeSlots []int32
 
 	// occ is the occupancy of every input lane in the network, indexed
 	// by vcBuffer.gid. It is the single source of truth buffer length
@@ -482,7 +498,8 @@ func New(cfg Config) (*Fabric, error) {
 	f.lanesIn = phys*cfg.VCs + 1    // physical input VCs + injection channel
 	f.lanesOut = phys*cfg.VCs + dlv // physical output VCs + delivery channels
 	f.bufs = make([]vcBuffer, nodes*f.lanesIn)
-	flitArena := make([]flit, nodes*f.lanesIn*cfg.BufDepth)
+	f.depth = int32(cfg.BufDepth)
+	f.flits = make([]flit, nodes*f.lanesIn*cfg.BufDepth)
 	f.outsA = make([]outVC, nodes*f.lanesOut)
 	inPorts := make([][]vcBuffer, nodes*(phys+1))
 	outPorts := make([][]outVC, nodes*(phys+1))
@@ -533,15 +550,10 @@ func New(cfg Config) (*Fabric, error) {
 	}
 	f.maxProcs = runtime.GOMAXPROCS(0)
 
-	nextBuf, nextFlit, nextOut := 0, 0, 0
+	nextBuf, nextOut := 0, 0
 	takeBuf := func(n int) []vcBuffer {
 		s := f.bufs[nextBuf : nextBuf+n : nextBuf+n]
 		nextBuf += n
-		return s
-	}
-	takeFlits := func() []flit {
-		s := flitArena[nextFlit : nextFlit+cfg.BufDepth : nextFlit+cfg.BufDepth]
-		nextFlit += cfg.BufDepth
 		return s
 	}
 	takeOut := func(n int) []outVC {
@@ -562,35 +574,40 @@ func New(cfg Config) (*Fabric, error) {
 			for v := 0; v < cfg.VCs; v++ {
 				lane := p*cfg.VCs + v
 				nd.inputs[p][v] = vcBuffer{
-					fab: f, node: nd.id, port: p, vc: v,
+					fab: f, node: nd.id, port: int32(p), vc: int32(v),
 					gid: int32(id*f.lanesIn + lane), lane: uint8(lane),
-					buf: takeFlits(), countable: true,
+					countable: true,
 				}
 			}
 		}
 		nd.inputs[f.injPort] = takeBuf(1)
 		nd.inputs[f.injPort][0] = vcBuffer{
-			fab: f, node: nd.id, port: f.injPort,
+			fab: f, node: nd.id, port: int32(f.injPort),
 			gid: int32(id*f.lanesIn + f.lanesIn - 1), lane: uint8(f.lanesIn - 1),
-			buf: takeFlits(),
 		}
 
 		for p := 0; p < phys; p++ {
 			nd.outs[p] = takeOut(cfg.VCs)
 			for v := 0; v < cfg.VCs; v++ {
 				nd.outs[p][v] = outVC{lat: latch{
-					fab: f, node: nd.id, port: p, vc: v, lane: uint8(p*cfg.VCs + v),
+					fab: f, node: int32(id), port: int32(p), vc: int32(v), lane: uint8(p*cfg.VCs + v),
 				}}
 			}
 		}
 		nd.outs[f.dlvPort] = takeOut(dlv)
 		for v := 0; v < dlv; v++ {
 			nd.outs[f.dlvPort][v] = outVC{lat: latch{
-				fab: f, node: nd.id, port: f.dlvPort, vc: v, lane: uint8(phys*cfg.VCs + v),
+				fab: f, node: int32(id), port: int32(f.dlvPort), vc: int32(v), lane: uint8(phys*cfg.VCs + v),
 			}}
 		}
 		nd.src = srcSlot{fab: f, node: nd.id}
 	}
+	// Slot 0 is reserved (the zero flit and a free output VC name it),
+	// so the tables start one record long.
+	sc := f.slotCapacity()
+	f.slots = make([]slotRec, 1, sc)
+	f.slotPkt = make([]*packet.Packet, 1, sc)
+	f.freeSlots = make([]int32, 0, sc)
 	f.serial = stepCtx{nc: &f.net}
 	f.initShards()
 	return f, nil
@@ -722,7 +739,7 @@ func (f *Fabric) FreeVCs(nodeID topology.NodeID, port int) int {
 //
 //stcc:hotpath
 func (f *Fabric) CanStartInjection(nodeID topology.NodeID) bool {
-	return f.nodes[nodeID].src.pkt == nil
+	return f.nodes[nodeID].src.slot == 0
 }
 
 // StartInjection hands pkt to node's injection channel. The head flit
@@ -734,13 +751,13 @@ func (f *Fabric) CanStartInjection(nodeID topology.NodeID) bool {
 //stcc:hotpath
 func (f *Fabric) StartInjection(pkt *packet.Packet) {
 	nd := &f.nodes[pkt.Src]
-	if nd.src.pkt != nil {
+	if nd.src.slot != 0 {
 		panic(fmt.Sprintf("router: injection channel of node %d busy", pkt.Src))
 	}
 	if pkt.SrcRemaining != pkt.Length {
 		panic(fmt.Sprintf("router: packet %d already partially injected", pkt.ID))
 	}
-	nd.src.setPacket(pkt, &f.net)
+	nd.src.setPacket(f.takeSlot(pkt), &f.net)
 	f.inFlight++
 }
 
@@ -782,13 +799,16 @@ func (f *Fabric) Step() {
 	f.now++
 }
 
-// deliver finalizes a packet: stamps delivery, updates counters, invokes
-// the callbacks. Parallel rounds queue delivered tails instead and the
-// coordinator calls this between rounds, preserving node-order callbacks.
+// deliver finalizes the packet in slot s: releases the slot, stamps
+// delivery, updates counters, invokes the callbacks. Parallel rounds
+// queue delivered slots instead and the coordinator calls this between
+// rounds, preserving node-order callbacks (and so the free list order).
 //
 //stcc:serialonly
 //stcc:hotpath
-func (f *Fabric) deliver(p *packet.Packet, now int64) {
+func (f *Fabric) deliver(s int32, now int64) {
+	p := f.slotPkt[s]
+	f.releaseSlot(s)
 	p.DeliveredAt = now
 	f.inFlight--
 	f.emit(trace.Delivered, p, p.Dst)

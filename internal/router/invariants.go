@@ -2,7 +2,6 @@ package router
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/packet"
 )
@@ -11,14 +10,19 @@ import (
 // invariants: buffer occupancy bounds and the occ array, the per-node
 // lane masks and node-level active bitsets the stages iterate, the
 // incremental full-buffer counter and network active-set sums, wormhole
-// binding/ownership consistency, per-packet flit conservation (buffered
-// + consumed + in the recovery lane == length), and the packet-recycling
-// guard: no buffer, latch, or source slot may reference a packet already
-// returned to a packet.Pool.
+// binding/ownership consistency, the slot table (every buffered or
+// latched flit, binding, owner, source, suspect and the recovery drain
+// names a live slot; each live record mirrors its packet's Mode and
+// Length; the live slots number InFlight() and are disjoint from the
+// free list, which together cover the table), per-packet flit
+// conservation (buffered + consumed + in the recovery lane == length),
+// and the packet-recycling guard: no live slot may hold a packet
+// already returned to a packet.Pool.
 // It exists for tests and debugging; it is O(network size) and is never
 // called by Step.
 func (f *Fabric) CheckInvariants() error {
-	buffered := map[*packet.Packet]int{}
+	live := func(s int32) bool { return s > 0 && int(s) < len(f.slotPkt) && f.slotPkt[s] != nil }
+	buffered := make([]int, len(f.slots)) // flits held per slot
 	// Recount into plain locals (counterguard confines netCounters field
 	// writes to buffer.go); the comparison builds a struct at the end.
 	var fullBuffers, latched, ownedOuts, occupiedIns, pendingIns, srcActive int
@@ -31,7 +35,8 @@ func (f *Fabric) CheckInvariants() error {
 			for bi := range port {
 				b := &port[bi]
 				n := int(f.occ[b.gid])
-				if n < 0 || n > len(b.buf) {
+				ring := b.ring()
+				if n < 0 || n > len(ring) {
 					return fmt.Errorf("%v occupancy %d out of range", b, n)
 				}
 				if b.countable {
@@ -50,34 +55,35 @@ func (f *Fabric) CheckInvariants() error {
 					if b.front().isHead() {
 						headMask |= bit
 					}
-					if !b.bound {
+					if !b.bound() {
 						pendingIns++
 					}
 				}
-				if b.bound {
+				if b.bound() {
 					boundMask |= bit
 				}
 				for i := 0; i < n; i++ {
-					fl := b.buf[(b.head+i)%len(b.buf)]
-					if fl.pkt == nil {
-						return fmt.Errorf("%v holds a nil flit at %d", b, i)
+					fl := ring[(int(b.head)+i)%len(ring)]
+					if !live(fl.slot) {
+						return fmt.Errorf("%v holds a flit of dead slot %d at %d", b, fl.slot, i)
 					}
-					buffered[fl.pkt]++
+					buffered[fl.slot]++
 				}
 				// The ring outside [head, head+n) must be vacated: pop
 				// zeroes slots, so a stale flit means corruption.
-				for i := n; i < len(b.buf); i++ {
-					if b.buf[(b.head+i)%len(b.buf)].valid() {
+				for i := n; i < len(ring); i++ {
+					if ring[(int(b.head)+i)%len(ring)].valid() {
 						return fmt.Errorf("%v holds a stale flit outside its occupied window", b)
 					}
 				}
-				if b.bound {
-					if b.boundPkt == nil {
-						return fmt.Errorf("%v bound without packet", b)
+				if b.bound() {
+					if !live(b.boundSlot) {
+						return fmt.Errorf("%v bound to dead slot %d", b, b.boundSlot)
 					}
 					o := &f.nodes[b.node].outs[b.outPort][b.outVC]
-					if o.ownerPkt != b.boundPkt {
-						return fmt.Errorf("%v bound to %v but output VC owned by %v", b, b.boundPkt, o.ownerPkt)
+					if o.ownerSlot != b.boundSlot || o.ownerGid != b.gid {
+						return fmt.Errorf("%v bound to slot %d but output VC owned by slot %d from lane %d",
+							b, b.boundSlot, o.ownerSlot, o.ownerGid)
 					}
 				}
 			}
@@ -86,25 +92,39 @@ func (f *Fabric) CheckInvariants() error {
 			for oi := range outs {
 				o := &outs[oi]
 				bit := uint64(1) << o.lat.lane
-				if o.lat.full {
-					if o.lat.f.pkt == nil {
-						return fmt.Errorf("%v holds a nil flit", &o.lat)
+				if o.lat.full() {
+					if !live(o.lat.f.slot) {
+						return fmt.Errorf("%v holds a flit of dead slot %d", &o.lat, o.lat.f.slot)
 					}
-					buffered[o.lat.f.pkt]++
+					buffered[o.lat.f.slot]++
 					latchMask |= bit
 					latched++
 				}
-				if (o.ownerPkt == nil) != (o.owner == nil) {
-					return fmt.Errorf("output VC at node %d: owner/ownerPkt mismatch", nd.id)
-				}
-				if o.ownerPkt != nil {
+				if !o.free() {
+					if !live(o.ownerSlot) {
+						return fmt.Errorf("output VC %v owned by dead slot %d", &o.lat, o.ownerSlot)
+					}
+					// The owner streams from a lane of this node, which
+					// stays bound to it until its tail is popped into
+					// this latch.
+					ob := &f.bufs[o.ownerGid]
+					if ob.node != nd.id {
+						return fmt.Errorf("output VC %v owned from lane %d of node %d", &o.lat, o.ownerGid, ob.node)
+					}
+					if ob.boundSlot != o.ownerSlot && (o.lat.f.slot != o.ownerSlot || !f.isTail(o.lat.f)) {
+						return fmt.Errorf("output VC %v owned by slot %d, but %v is bound to slot %d and the latch holds no tail of the owner",
+							&o.lat, o.ownerSlot, ob, ob.boundSlot)
+					}
 					ownedMask |= bit
 					ownedOuts++
 				}
 			}
 		}
-		if p := nd.src.pkt; p != nil {
-			buffered[p] += p.SrcRemaining
+		if s := nd.src.slot; s != 0 {
+			if !live(s) {
+				return fmt.Errorf("node %d streams from dead slot %d", nd.id, s)
+			}
+			buffered[s] += f.slotPkt[s].SrcRemaining
 			srcActive++
 		}
 
@@ -124,7 +144,7 @@ func (f *Fabric) CheckInvariants() error {
 			{"pending", &f.actPending, occMask&^boundMask != 0},
 			{"latched", &f.actLatched, latchMask != 0},
 			{"owned", &f.actOwned, ownedMask != 0},
-			{"src", &f.actSrc, nd.src.pkt != nil},
+			{"src", &f.actSrc, nd.src.slot != 0},
 		}
 		for _, c := range checks {
 			if got := c.a.actWords[ni>>6]&bit != 0; got != c.want {
@@ -185,21 +205,22 @@ func (f *Fabric) CheckInvariants() error {
 		return fmt.Errorf("network active-set counters %+v, recount %+v", f.net, recount)
 	}
 
-	// Walk the per-packet tallies in packet-ID order: buffered is keyed
-	// by pointer, so a direct range would surface conservation errors in
-	// a different order on every run.
-	pkts := make([]*packet.Packet, 0, len(buffered))
-	for p := range buffered {
-		pkts = append(pkts, p)
+	if err := f.checkSlots(live); err != nil {
+		return err
 	}
-	sort.Slice(pkts, func(i, j int) bool { return pkts[i].ID < pkts[j].ID })
-	for _, p := range pkts {
+
+	// Per-packet conservation, in slot order.
+	for s := 1; s < len(f.slots); s++ {
+		p := f.slotPkt[s]
+		if p == nil {
+			continue
+		}
 		if p.Recycled() {
 			return fmt.Errorf("%v recycled but still referenced by network state (use-after-recycle)", p)
 		}
-		n := buffered[p]
+		n := buffered[s]
 		want := p.Length - p.Consumed
-		if f.rec != nil && f.rec.pkt == p {
+		if f.rec != nil && f.rec.slot == int32(s) {
 			want -= f.rec.popped - f.rec.arrived // flits in the recovery lane
 		}
 		if n != want {
@@ -207,6 +228,58 @@ func (f *Fabric) CheckInvariants() error {
 		}
 		if p.Delivered() {
 			return fmt.Errorf("%v delivered but still buffered", p)
+		}
+	}
+	return nil
+}
+
+// checkSlots verifies the slot table itself: live records mirror their
+// packets, live and free slots partition the table, the live count is
+// the in-flight count, and the recovery drain and the suspect queue
+// name live packets in the matching mode.
+func (f *Fabric) checkSlots(live func(int32) bool) error {
+	if len(f.slots) != len(f.slotPkt) || len(f.slots) == 0 || f.slotPkt[0] != nil {
+		return fmt.Errorf("slot table malformed: %d records, %d packet entries", len(f.slots), len(f.slotPkt))
+	}
+	nlive := 0
+	for s := 1; s < len(f.slots); s++ {
+		p := f.slotPkt[s]
+		if p == nil {
+			continue
+		}
+		nlive++
+		if r := &f.slots[s]; r.mode != p.Mode || int(r.length) != p.Length {
+			return fmt.Errorf("slot %d record (mode %v, length %d) disagrees with %v", s, r.mode, r.length, p)
+		}
+	}
+	if nlive != f.inFlight {
+		return fmt.Errorf("%d live slots, %d packets in flight", nlive, f.inFlight)
+	}
+	free := make([]bool, len(f.slots))
+	for _, s := range f.freeSlots {
+		if s <= 0 || int(s) >= len(f.slots) {
+			return fmt.Errorf("free list holds out-of-range slot %d", s)
+		}
+		if free[s] {
+			return fmt.Errorf("free list holds slot %d twice", s)
+		}
+		if live(s) {
+			return fmt.Errorf("free slot %d still holds %v", s, f.slotPkt[s])
+		}
+		free[s] = true
+	}
+	if nlive+len(f.freeSlots) != len(f.slots)-1 {
+		return fmt.Errorf("%d live + %d free slots do not cover the %d-slot table (leaked slot)",
+			nlive, len(f.freeSlots), len(f.slots)-1)
+	}
+	if r := f.rec; r != nil {
+		if !live(r.slot) || f.slotPkt[r.slot] != r.pkt || f.slots[r.slot].mode != packet.Recovering {
+			return fmt.Errorf("recovery drains %v from slot %d, which does not hold it recovering", r.pkt, r.slot)
+		}
+	}
+	for _, sp := range f.suspects {
+		if !live(sp.slot) || f.slots[sp.slot].mode != packet.Suspected {
+			return fmt.Errorf("suspect queue names slot %d, not a live suspected packet", sp.slot)
 		}
 	}
 	return nil

@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"math/bits"
 	"sync"
-
-	"repro/internal/packet"
 )
 
 // Deterministic sharded stepping.
@@ -19,8 +17,8 @@ import (
 //   - Within a round, a shard only writes state owned by its own nodes
 //     (buffers, latches, masks, round-robin pointers) plus its private
 //     scratch (counter deltas, handoff mailboxes, move/suspect lists).
-//     The only shared writes are same-value atomic stores of packet
-//     progress stamps.
+//     The only shared writes are same-value atomic stores of the
+//     progress stamps in the slot table (slots.go).
 //   - Cross-node effects are staged, never applied in place: link
 //     traversals into another node go through per-(source, destination)
 //     shard mailboxes and are applied by the destination shard in source
@@ -53,14 +51,14 @@ import (
 //     the merge round only runs when a handoff actually crossed a shard
 //     boundary. In Recovery mode routing, injection and detection
 //     collapse into one phRouteInjectDetect round — legal because all
-//     their writes are own-node except the packet progress stamps
+//     their writes are own-node except the slot records' progress stamps
 //     (atomic, same-value) and the detection scan reads those stamps
 //     through the matching atomic load; a packet injection touches made
 //     progress no earlier than the previous cycle, so the racing read
 //     cannot flip a timeout verdict. Avoidance mode keeps phRoute and
 //     phInject separate: routeHeader may demote a packet to the escape
-//     lane (a packet.Mode write) while another shard's injection reads
-//     Mode of the same packet.
+//     lane (a mode write to its slot record) while another shard's
+//     injection reads the mode of the same packet.
 //   - The coordinator picks serial vs sharded execution per cycle from
 //     the active-lane count with hysteresis (Config.Dispatch); both
 //     paths are byte-identical, so the decision is scheduling-only.
@@ -87,12 +85,11 @@ type handoff struct {
 }
 
 // xbCand is one output port's speculative arbitration outcome: the
-// snapshot winner (o == nil when none) and whether a credit-blocked lane
-// earlier in round-robin order could steal the grant once same-cycle
-// pops are visible.
+// snapshot winner (o == nil when none; its input buffer is o.ownerGid)
+// and whether a credit-blocked lane earlier in round-robin order could
+// steal the grant once same-cycle pops are visible.
 type xbCand struct {
 	o       *outVC
-	b       *vcBuffer
 	ni      int32
 	p       int16
 	vi      int16
@@ -102,7 +99,6 @@ type xbCand struct {
 // xbMove is a committed crossbar move, applied by the owning shard.
 type xbMove struct {
 	o  *outVC
-	b  *vcBuffer
 	ni int32
 	p  int16
 	vi int16
@@ -117,8 +113,8 @@ type shard struct {
 	ctx   stepCtx     // counter sink (the delta below) + route scratch
 	delta netCounters // folded into the fabric's sums between rounds
 
-	hand           [][]handoff      // hand[dstShard]: staged link handoffs
-	delivered      []*packet.Packet // tails consumed at delivery, node order
+	hand           [][]handoff // hand[dstShard]: staged link handoffs
+	delivered      []int32     // slots of tails consumed at delivery, node order
 	deliveredFlits int64
 
 	cands    []xbCand // speculative crossbar outcomes, node order
@@ -186,7 +182,7 @@ func (f *Fabric) initShards() {
 		sh.cands = make([]xbCand, 0, n*(phys+dlv))
 		sh.moves = make([]xbMove, 0, n*(phys+dlv))
 		// Link stage: at most one tail per delivery channel per cycle.
-		sh.delivered = make([]*packet.Packet, 0, n*dlv)
+		sh.delivered = make([]int32, 0, n*dlv)
 		sh.suspects = make([]suspect, 0, n)
 		// Mailboxes sized to the boundary-crossing lane count per
 		// destination shard: with same-shard traversals pushed directly,
@@ -504,22 +500,22 @@ func (f *Fabric) linkLocalShard(sh *shard, si int) {
 			for lm := f.latchMask[ni]; lm != 0; lm &= lm - 1 {
 				lane := bits.TrailingZeros64(lm)
 				o := &f.outsA[base+lane]
-				if o.lat.f.pkt.Mode.Frozen() {
+				if f.frozen(o.lat.f.slot) {
 					continue
 				}
 				fl := o.lat.clear(sh.ctx.nc)
-				fl.pkt.ProgressAtomic(now)
-				if o.lat.port == f.dlvPort {
+				f.stamp(&sh.ctx, fl.slot, now)
+				if int(o.lat.port) == f.dlvPort {
 					sh.deliveredFlits++
-					fl.pkt.Consumed++
-					if fl.isTail() {
+					//stcc:shardguard a packet is consumed only at its destination's delivery lanes, so one shard counts it this round
+					f.slotPkt[fl.slot].Consumed++
+					if f.isTail(fl) {
 						o.release(sh.ctx.nc)
-						sh.delivered = append(sh.delivered, fl.pkt)
+						sh.delivered = append(sh.delivered, fl.slot)
 					}
 					continue
 				}
 				tb := &f.bufs[f.dstGid[base+lane]]
-				fl.arrived = now
 				if ds := int(f.dstShard[base+lane]); ds != si {
 					sh.hand[ds] = append(sh.hand[ds], handoff{tb: tb, fl: fl})
 				} else {
@@ -527,11 +523,8 @@ func (f *Fabric) linkLocalShard(sh *shard, si int) {
 						panic(fmt.Sprintf("router: link overflow into %v at cycle %d", tb, now))
 					}
 					tb.push(fl, sh.ctx.nc)
-					if fl.isHead() {
-						fl.pkt.PushTrail(tb)
-					}
 				}
-				if fl.isTail() {
+				if f.isTail(fl) {
 					o.release(sh.ctx.nc)
 				}
 			}
@@ -557,9 +550,6 @@ func (f *Fabric) linkMergeShard(d int) {
 				panic(fmt.Sprintf("router: link overflow into %v at cycle %d", h.tb, f.now))
 			}
 			h.tb.push(h.fl, sh.ctx.nc)
-			if h.fl.isHead() {
-				h.fl.pkt.PushTrail(h.tb)
-			}
 			hs[i] = handoff{}
 		}
 		//stcc:shardguard resetting mailbox s->d: only worker d reads or truncates it during this round
@@ -580,9 +570,8 @@ func (f *Fabric) mergeLink() {
 		f.deliveredFlits += sh.deliveredFlits
 		f.deliveredWindow += sh.deliveredFlits
 		sh.deliveredFlits = 0
-		for i, p := range sh.delivered {
-			f.deliver(p, now)
-			sh.delivered[i] = nil
+		for _, s := range sh.delivered {
+			f.deliver(s, now)
 		}
 		sh.delivered = sh.delivered[:0]
 	}
@@ -635,21 +624,20 @@ func (f *Fabric) xbarScanPort(ni, p, base, nvc int, sh *shard) {
 			continue
 		}
 		o := &outs[vi]
-		if o.ownerPkt.Mode.Frozen() {
+		if f.frozen(o.ownerSlot) {
 			continue
 		}
-		b := o.owner
-		if f.occ[b.gid] == 0 {
+		if f.occ[o.ownerGid] == 0 {
 			continue // worm stretched thin; occupancy is stable this stage
 		}
 		if !dlv {
 			tg := f.dstGid[ni*f.lanesOut+base+vi]
-			if int(f.occ[tg]) == f.cfg.BufDepth {
+			if f.occ[tg] == f.depth {
 				flagged = true // a same-cycle pop downstream could free this
 				continue
 			}
 		}
-		sh.cands = append(sh.cands, xbCand{o: o, b: b, ni: int32(ni), p: int16(p), vi: int16(vi), flagged: flagged})
+		sh.cands = append(sh.cands, xbCand{o: o, ni: int32(ni), p: int16(p), vi: int16(vi), flagged: flagged})
 		if !dlv {
 			return // one flit per physical port per cycle
 		}
@@ -688,10 +676,10 @@ func (f *Fabric) finalizeXbar() {
 //stcc:serialonly
 //stcc:hotpath
 func (f *Fabric) commitMove(sh *shard, c *xbCand) {
-	g := c.b.gid
+	g := c.o.ownerGid
 	f.popped[g>>6] |= 1 << uint(g&63)
 	f.poppedDirty = append(f.poppedDirty, g)
-	sh.moves = append(sh.moves, xbMove{o: c.o, b: c.b, ni: c.ni, p: c.p, vi: c.vi})
+	sh.moves = append(sh.moves, xbMove{o: c.o, ni: c.ni, p: c.p, vi: c.vi})
 }
 
 // refereePort re-runs one flagged physical port's round-robin scan with
@@ -714,22 +702,21 @@ func (f *Fabric) refereePort(sh *shard, c *xbCand) {
 			continue
 		}
 		o := &outs[vi]
-		if o.ownerPkt.Mode.Frozen() {
+		if f.frozen(o.ownerSlot) {
 			continue
 		}
-		b := o.owner
-		if f.occ[b.gid] == 0 {
+		if f.occ[o.ownerGid] == 0 {
 			continue
 		}
 		tg := f.dstGid[ni*f.lanesOut+base+vi]
-		n := int(f.occ[tg])
+		n := f.occ[tg]
 		if f.popped[tg>>6]&(1<<uint(tg&63)) != 0 {
 			n-- // a committed pop at an earlier node freed one credit
 		}
-		if n == f.cfg.BufDepth {
+		if n == f.depth {
 			continue
 		}
-		cc := xbCand{o: o, b: b, ni: c.ni, p: c.p, vi: int16(vi)}
+		cc := xbCand{o: o, ni: c.ni, p: c.p, vi: int16(vi)}
 		f.commitMove(sh, &cc)
 		return
 	}
@@ -745,13 +732,14 @@ func (f *Fabric) xbarApplyShard(sh *shard) {
 	now := f.now
 	for i := range sh.moves {
 		mv := &sh.moves[i]
-		fl := mv.b.pop(sh.ctx.nc)
-		if fl.pkt != mv.o.ownerPkt {
-			panic(fmt.Sprintf("router: %v front flit of %v, owner %v", mv.b, fl.pkt, mv.o.ownerPkt))
+		b := &f.bufs[mv.o.ownerGid]
+		fl := b.pop(sh.ctx.nc)
+		if fl.slot != mv.o.ownerSlot {
+			panic(fmt.Sprintf("router: %v front flit of slot %d, owner slot %d", b, fl.slot, mv.o.ownerSlot))
 		}
-		fl.pkt.ProgressAtomic(now)
-		if fl.isTail() {
-			mv.b.clearBinding(sh.ctx.nc)
+		f.stamp(&sh.ctx, fl.slot, now)
+		if f.isTail(fl) {
+			b.clearBinding(sh.ctx.nc)
 		}
 		mv.o.lat.set(fl, sh.ctx.nc)
 		if p := int(mv.p); p != f.dlvPort {
@@ -819,8 +807,8 @@ func (f *Fabric) injectShard(sh *shard) {
 // detectShard scans the shard's own nodes for deadlock timeouts; fresh
 // suspects collect per shard and are concatenated — and only then
 // frozen — in shard order, the serial append order. Deferring the
-// packet.Mode write to the coordinator keeps this round free of Mode
-// races against concurrent routing and injection (detection shares the
+// mode write to the coordinator keeps this round free of mode races
+// against concurrent routing and injection (detection shares the
 // fused phRouteInjectDetect round), and changes nothing else: a
 // packet's head flit fronts exactly one lane network-wide, so no other
 // detect decision this cycle could have observed the earlier write.

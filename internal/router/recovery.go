@@ -37,9 +37,9 @@ type drainLoc struct {
 
 // suspect is a frozen packet queued for the recovery token.
 type suspect struct {
-	buf *vcBuffer
-	pkt *packet.Packet
-	at  int64 // cycle of suspicion
+	buf  *vcBuffer
+	at   int64 // cycle of suspicion
+	slot int32
 }
 
 // recoveryState tracks the packet currently holding the recovery token.
@@ -47,6 +47,7 @@ type suspect struct {
 // the locs backing array — across recoveries.
 type recoveryState struct {
 	pkt     *packet.Packet
+	slot    int32
 	locs    []drainLoc // downstream-first: locs[0] drains first
 	idx     int
 	dist    int // mesh DOR hops from the header's router to the destination
@@ -101,12 +102,12 @@ func (f *Fabric) detectNode(ni int, out *[]suspect) {
 	for dm := f.occMask[ni] & f.headMask[ni]; dm != 0; dm &= dm - 1 {
 		lane := bits.TrailingZeros64(dm)
 		b := &f.bufs[base+lane]
-		fl := b.front()
-		if fl.pkt.Mode.Frozen() {
+		s := b.front().slot
+		if f.frozen(s) {
 			continue
 		}
-		if fl.pkt.BlockedForAtomic(now) > timeout {
-			*out = append(*out, suspect{buf: b, pkt: fl.pkt, at: now})
+		if f.blockedFor(s, now) > timeout {
+			*out = append(*out, suspect{buf: b, slot: s, at: now})
 		}
 	}
 }
@@ -121,8 +122,8 @@ func (f *Fabric) detectNode(ni int, out *[]suspect) {
 func (f *Fabric) freezeSuspects(fresh []suspect) {
 	for i := range fresh {
 		s := &fresh[i]
-		s.pkt.Mode = packet.Suspected
-		f.emit(trace.Suspected, s.pkt, s.buf.node)
+		f.setMode(s.slot, packet.Suspected)
+		f.emit(trace.Suspected, f.slotPkt[s.slot], s.buf.node)
 	}
 }
 
@@ -139,8 +140,8 @@ func (f *Fabric) serviceSuspects() {
 	kept := f.suspects[:0]
 	for _, s := range f.suspects {
 		if now-s.at > f.tokenWait {
-			s.pkt.Mode = packet.Adaptive
-			s.pkt.Progress(now)
+			f.setMode(s.slot, packet.Adaptive)
+			f.stamp(&f.serial, s.slot, now)
 			continue
 		}
 		kept = append(kept, s)
@@ -165,11 +166,12 @@ func (f *Fabric) serviceSuspects() {
 //
 //stcc:hotpath
 func (f *Fabric) feedingLatch(b *vcBuffer) *outVC {
-	if b.port == f.injPort {
+	if int(b.port) == f.injPort {
 		return nil
 	}
-	up := f.topo.Neighbor(b.node, topology.PortDim(b.port), topology.PortDir(b.port))
-	return &f.nodes[up].outs[topology.OppositePort(b.port)][b.vc]
+	port := int(b.port)
+	up := f.topo.Neighbor(b.node, topology.PortDim(port), topology.PortDir(port))
+	return &f.nodes[up].outs[topology.OppositePort(port)][b.vc]
 }
 
 // startRecovery freezes the worm whose header sits at the front of head
@@ -179,12 +181,14 @@ func (f *Fabric) feedingLatch(b *vcBuffer) *outVC {
 //stcc:serialonly
 //stcc:hotpath
 func (f *Fabric) startRecovery(head *vcBuffer) {
-	pkt := head.front().pkt
-	pkt.Mode = packet.Recovering
+	s := head.front().slot
+	pkt := f.slotPkt[s]
+	f.setMode(s, packet.Recovering)
 
 	r := &f.recStore
 	*r = recoveryState{
 		pkt:     pkt,
+		slot:    s,
 		locs:    r.locs[:0],
 		dist:    f.topo.MeshDistance(head.node, pkt.Dst),
 		started: f.now,
@@ -221,15 +225,16 @@ func (f *Fabric) startRecovery(head *vcBuffer) {
 }
 
 // cleanupBuffer releases the resources an input buffer held for the
-// recovered packet: its wormhole binding and the output VC its header
-// allocated at this router (whose downstream flits have already drained).
+// recovered packet (slot s): its wormhole binding and the output VC its
+// header allocated at this router (whose downstream flits have already
+// drained).
 //
 //stcc:serialonly
 //stcc:hotpath
-func (f *Fabric) cleanupBuffer(b *vcBuffer, pkt *packet.Packet) {
-	if b.bound && b.boundPkt == pkt {
+func (f *Fabric) cleanupBuffer(b *vcBuffer, s int32) {
+	if b.boundSlot == s {
 		o := &f.nodes[b.node].outs[b.outPort][b.outVC]
-		if o.ownerPkt == pkt {
+		if o.ownerSlot == s {
 			o.release(&f.net)
 		}
 		b.clearBinding(&f.net)
@@ -237,13 +242,13 @@ func (f *Fabric) cleanupBuffer(b *vcBuffer, pkt *packet.Packet) {
 }
 
 // cleanupOutVC releases ownership of an output VC once the recovered
-// packet's flit has been evicted from its latch (the in-flight tail
-// case).
+// packet's (slot s) flit has been evicted from its latch (the in-flight
+// tail case).
 //
 //stcc:serialonly
 //stcc:hotpath
-func (f *Fabric) cleanupOutVC(o *outVC, pkt *packet.Packet) {
-	if o.ownerPkt == pkt {
+func (f *Fabric) cleanupOutVC(o *outVC, s int32) {
+	if o.ownerSlot == s {
 		o.release(&f.net)
 	}
 }
@@ -261,7 +266,6 @@ func (f *Fabric) recoveryStep() {
 		return
 	}
 	now := f.now
-	r.pkt.Progress(now)
 
 	if r.popped < r.pkt.Length {
 		for r.idx < len(r.locs) && r.locs[r.idx].count == 0 {
@@ -276,9 +280,9 @@ func (f *Fabric) recoveryStep() {
 		r.popped++
 		if d.count == 0 {
 			if d.cleanupBuf != nil {
-				f.cleanupBuffer(d.cleanupBuf, r.pkt)
+				f.cleanupBuffer(d.cleanupBuf, r.slot)
 			} else if d.cleanupOut != nil {
-				f.cleanupOutVC(d.cleanupOut, r.pkt)
+				f.cleanupOutVC(d.cleanupOut, r.slot)
 			}
 		}
 	}
@@ -291,7 +295,7 @@ func (f *Fabric) recoveryStep() {
 		r.arrived++
 		if r.arrived == r.pkt.Length {
 			f.emit(trace.RecoveryCompleted, r.pkt, r.pkt.Dst)
-			f.deliver(r.pkt, now)
+			f.deliver(r.slot, now)
 			f.recoveries++
 			f.rec = nil
 		}

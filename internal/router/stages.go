@@ -5,6 +5,7 @@ import (
 	"math/bits"
 
 	"repro/internal/packet"
+	"repro/internal/topology"
 	"repro/internal/trace"
 )
 
@@ -46,18 +47,17 @@ func (f *Fabric) linkNode(ni int, ctx *stepCtx) {
 	for lm := f.latchMask[ni]; lm != 0; lm &= lm - 1 {
 		lane := bits.TrailingZeros64(lm)
 		o := &f.outsA[base+lane]
-		if o.lat.f.pkt.Mode.Frozen() {
+		if f.frozen(o.lat.f.slot) {
 			continue
 		}
 		fl := o.lat.clear(ctx.nc)
-		fl.pkt.Progress(now)
-		p := o.lat.port
-		if p == f.dlvPort {
+		f.stamp(ctx, fl.slot, now)
+		if int(o.lat.port) == f.dlvPort {
 			f.countDeliveredFlit()
-			fl.pkt.Consumed++
-			if fl.isTail() {
+			f.slotPkt[fl.slot].Consumed++
+			if f.isTail(fl) {
 				o.release(ctx.nc)
-				f.deliver(fl.pkt, now)
+				f.deliver(fl.slot, now)
 			}
 			continue
 		}
@@ -65,12 +65,8 @@ func (f *Fabric) linkNode(ni int, ctx *stepCtx) {
 		if tb.full() {
 			panic(fmt.Sprintf("router: link overflow into %v at cycle %d", tb, now))
 		}
-		fl.arrived = now
 		tb.push(fl, ctx.nc)
-		if fl.isHead() {
-			fl.pkt.PushTrail(tb)
-		}
-		if fl.isTail() {
+		if f.isTail(fl) {
 			o.release(ctx.nc)
 		}
 	}
@@ -132,25 +128,25 @@ func (f *Fabric) crossbarPort(nd *node, ni, p, base, nvc int, ctx *stepCtx) {
 			continue
 		}
 		o := &outs[vi]
-		if o.ownerPkt.Mode.Frozen() {
+		if f.frozen(o.ownerSlot) {
 			continue
 		}
-		b := o.owner
-		if f.occ[b.gid] == 0 {
+		if f.occ[o.ownerGid] == 0 {
 			continue // worm stretched thin: no flit buffered here yet
 		}
 		if !dlv {
 			tg := f.dstGid[ni*f.lanesOut+base+vi]
-			if int(f.occ[tg]) == f.cfg.BufDepth {
+			if f.occ[tg] == f.depth {
 				continue // no downstream credit
 			}
 		}
+		b := &f.bufs[o.ownerGid]
 		fl := b.pop(ctx.nc)
-		if fl.pkt != o.ownerPkt {
-			panic(fmt.Sprintf("router: %v front flit of %v, owner %v", b, fl.pkt, o.ownerPkt))
+		if fl.slot != o.ownerSlot {
+			panic(fmt.Sprintf("router: %v front flit of slot %d, owner slot %d", b, fl.slot, o.ownerSlot))
 		}
-		fl.pkt.Progress(now)
-		if fl.isTail() {
+		f.stamp(ctx, fl.slot, now)
+		if f.isTail(fl) {
 			b.clearBinding(ctx.nc)
 		}
 		o.lat.set(fl, ctx.nc)
@@ -225,27 +221,27 @@ func (f *Fabric) arbitrate(nd *node, ctx *stepCtx) {
 //stcc:hotpath
 func (f *Fabric) tryArbSlot(nd *node, idx, total int, ctx *stepCtx) bool {
 	b := f.inputVCAt(nd, idx)
-	fl := b.front()
-	if fl.pkt.Mode.Frozen() {
+	s := b.front().slot
+	if f.frozen(s) {
 		return false
 	}
-	if fl.arrived >= f.now {
+	if f.slots[s].headArr >= f.now {
 		// The header arrived this cycle; routing occupies the next
 		// cycle (the paper's one-cycle routing delay).
 		return false
 	}
 	nd.arbPtr = (idx + 1) % total
-	f.routeHeader(nd, b, fl.pkt, ctx)
+	f.routeHeader(nd, b, s, ctx)
 	return true
 }
 
 // vcAvailable reports whether output VC (port, vc) at nd can be
-// allocated to pkt: it must be unowned, and under virtual cut-through
-// the downstream buffer must have room for the entire packet (so a
-// blocked packet never spans routers).
+// allocated to the packet in slot s: it must be unowned, and under
+// virtual cut-through the downstream buffer must have room for the
+// entire packet (so a blocked packet never spans routers).
 //
 //stcc:hotpath
-func (f *Fabric) vcAvailable(nd *node, port, vc int, pkt *packet.Packet) bool {
+func (f *Fabric) vcAvailable(nd *node, port, vc int, s int32) bool {
 	if !nd.outs[port][vc].free() {
 		return false
 	}
@@ -253,19 +249,20 @@ func (f *Fabric) vcAvailable(nd *node, port, vc int, pkt *packet.Packet) bool {
 		return true
 	}
 	tg := f.dstGid[int(nd.id)*f.lanesOut+port*f.cfg.VCs+vc]
-	return f.cfg.BufDepth-int(f.occ[tg]) >= pkt.Length
+	return f.depth-f.occ[tg] >= f.slots[s].length
 }
 
 // routeHeader attempts route computation and output VC allocation for the
-// header at the front of b. On failure the header retries on a later
-// arbiter slot.
+// header (of the packet in slot s) at the front of b. On failure the
+// header retries on a later arbiter slot.
 //
 //stcc:hotpath
-func (f *Fabric) routeHeader(nd *node, b *vcBuffer, pkt *packet.Packet, ctx *stepCtx) bool {
+func (f *Fabric) routeHeader(nd *node, b *vcBuffer, s int32, ctx *stepCtx) bool {
+	pkt := f.slotPkt[s]
 	if pkt.Dst == nd.id {
 		for v := range nd.outs[f.dlvPort] {
 			if nd.outs[f.dlvPort][v].free() {
-				f.allocate(nd, b, pkt, f.dlvPort, v, ctx)
+				f.allocate(nd, b, s, f.dlvPort, v, ctx)
 				return true
 			}
 		}
@@ -274,16 +271,18 @@ func (f *Fabric) routeHeader(nd *node, b *vcBuffer, pkt *packet.Packet, ctx *ste
 	switch f.cfg.Mode {
 	case Recovery:
 		// All virtual channels are fully adaptive.
-		return f.routeAdaptive(nd, b, pkt, 0, ctx)
+		return f.routeAdaptive(nd, b, s, pkt.Dst, 0, ctx)
 	default: // Avoidance
-		if pkt.Mode != packet.Escape && f.routeAdaptive(nd, b, pkt, 1, ctx) {
+		if f.slots[s].mode != packet.Escape && f.routeAdaptive(nd, b, s, pkt.Dst, 1, ctx) {
 			return true
 		}
 		// Escape lane: dimension-order over the mesh on VC 0. Once a
 		// packet enters the escape lane it stays there (conservative
 		// Duato protocol, trivially deadlock free).
-		if f.routeEscape(nd, b, pkt, ctx) {
+		if f.routeEscape(nd, b, s, pkt.Dst, ctx) {
 			pkt.Mode = packet.Escape
+			//stcc:shardguard the header is at this node only, so this shard alone writes the record this round; injection, the other reader, runs in its own round in avoidance mode
+			f.slots[s].mode = packet.Escape
 			return true
 		}
 		return false
@@ -295,8 +294,8 @@ func (f *Fabric) routeHeader(nd *node, b *vcBuffer, pkt *packet.Packet, ctx *ste
 // minVC up, taking the first free output VC.
 //
 //stcc:hotpath
-func (f *Fabric) routeAdaptive(nd *node, b *vcBuffer, pkt *packet.Packet, minVC int, ctx *stepCtx) bool {
-	ports := f.topo.MinimalPorts(nd.id, pkt.Dst, ctx.ports[:0])
+func (f *Fabric) routeAdaptive(nd *node, b *vcBuffer, s int32, dst topology.NodeID, minVC int, ctx *stepCtx) bool {
+	ports := f.topo.MinimalPorts(nd.id, dst, ctx.ports[:0])
 	ctx.ports = ports
 	if len(ports) == 0 {
 		return false
@@ -324,8 +323,8 @@ func (f *Fabric) routeAdaptive(nd *node, b *vcBuffer, pkt *packet.Packet, minVC 
 	for i := 0; i < len(ports); i++ {
 		p := ports[(start+i)%len(ports)]
 		for v := minVC; v < f.cfg.VCs; v++ {
-			if f.vcAvailable(nd, p, v, pkt) {
-				f.allocate(nd, b, pkt, p, v, ctx)
+			if f.vcAvailable(nd, p, v, s) {
+				f.allocate(nd, b, s, p, v, ctx)
 				return true
 			}
 		}
@@ -336,34 +335,32 @@ func (f *Fabric) routeAdaptive(nd *node, b *vcBuffer, pkt *packet.Packet, minVC 
 // routeEscape allocates escape VC 0 on the mesh dimension-order port.
 //
 //stcc:hotpath
-func (f *Fabric) routeEscape(nd *node, b *vcBuffer, pkt *packet.Packet, ctx *stepCtx) bool {
-	p, ok := f.topo.DORMeshNextPort(nd.id, pkt.Dst)
+func (f *Fabric) routeEscape(nd *node, b *vcBuffer, s int32, dst topology.NodeID, ctx *stepCtx) bool {
+	p, ok := f.topo.DORMeshNextPort(nd.id, dst)
 	if !ok {
 		return false // local destination handled earlier
 	}
-	if f.vcAvailable(nd, p, 0, pkt) {
-		f.allocate(nd, b, pkt, p, 0, ctx)
+	if f.vcAvailable(nd, p, 0, s) {
+		f.allocate(nd, b, s, p, 0, ctx)
 		return true
 	}
 	return false
 }
 
-// allocate binds input VC b to output VC (port, vc) for the packet.
+// allocate binds input VC b to output VC (port, vc) for the packet in
+// slot s.
 //
 //stcc:hotpath
-func (f *Fabric) allocate(nd *node, b *vcBuffer, pkt *packet.Packet, port, vc int, ctx *stepCtx) {
+func (f *Fabric) allocate(nd *node, b *vcBuffer, s int32, port, vc int, ctx *stepCtx) {
 	o := &nd.outs[port][vc]
 	if !o.free() {
 		panic(fmt.Sprintf("router: double allocation of node %d port %d vc %d", nd.id, port, vc))
 	}
-	b.setBinding(pkt, port, vc, ctx.nc)
-	o.acquire(b, pkt, ctx.nc)
+	b.setBinding(s, port, vc, ctx.nc)
+	o.acquire(b.gid, s, ctx.nc)
+	pkt := f.slotPkt[s]
 	pkt.Hops++
-	if ctx.atomic {
-		pkt.ProgressAtomic(f.now)
-	} else {
-		pkt.Progress(f.now)
-	}
+	f.stamp(ctx, s, f.now)
 	f.emit(trace.Routed, pkt, nd.id)
 }
 
@@ -389,8 +386,8 @@ func (f *Fabric) injectionStage() {
 //stcc:hotpath
 func (f *Fabric) injectNode(ni int, ctx *stepCtx) {
 	nd := &f.nodes[ni]
-	pkt := nd.src.pkt
-	if pkt == nil || pkt.Mode.Frozen() {
+	s := nd.src.slot
+	if s == 0 || f.frozen(s) {
 		return
 	}
 	now := f.now
@@ -398,17 +395,13 @@ func (f *Fabric) injectNode(ni int, ctx *stepCtx) {
 	if b.full() {
 		return
 	}
+	pkt := f.slotPkt[s]
 	idx := pkt.Length - pkt.SrcRemaining
-	b.push(flit{pkt: pkt, idx: idx, arrived: now}, ctx.nc)
+	b.push(flit{slot: s, idx: int32(idx)}, ctx.nc)
 	pkt.SrcRemaining--
-	if ctx.atomic {
-		pkt.ProgressAtomic(now)
-	} else {
-		pkt.Progress(now)
-	}
+	f.stamp(ctx, s, now)
 	if idx == 0 {
 		pkt.InjectedAt = now
-		pkt.PushTrail(b)
 		f.emit(trace.Injected, pkt, pkt.Src)
 	}
 	if pkt.SrcRemaining == 0 {
