@@ -112,3 +112,4 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzLatencyAccounting$$' -fuzztime $(FUZZTIME) ./internal/packet
 	$(GO) test -run '^$$' -fuzz '^FuzzSplitQuoted$$' -fuzztime $(FUZZTIME) ./internal/analyzers/framework
 	$(GO) test -run '^$$' -fuzz '^FuzzWantComment$$' -fuzztime $(FUZZTIME) ./internal/analyzers/framework
+	$(GO) test -run '^$$' -fuzz '^FuzzShardedMatchesSerial$$' -fuzztime $(FUZZTIME) ./internal/router

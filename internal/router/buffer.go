@@ -184,7 +184,7 @@ func (a *activeWords) anyIn(lo, hi int) bool {
 // flit-ring arena is never scanned by the garbage collector. Slot 0 is
 // never assigned, so the zero flit is "no flit". The per-packet state a
 // flit move consults — mode, length, progress stamp, header arrival
-// cycle — lives in the slot record (see slots.go).
+// cycle — lives in the slot tables (see slots.go).
 type flit struct {
 	slot int32
 	idx  int32
@@ -299,7 +299,7 @@ func (b *vcBuffer) push(f flit, nc *netCounters) {
 		// A packet's header is in exactly one buffer, so exactly one
 		// shard writes its arrival stamp and trail per cycle, and only
 		// that shard's arbiter reads headArr (see slots.go).
-		fab.slots[f.slot].headArr = fab.now
+		fab.headArr[f.slot] = fab.now
 		fab.slotPkt[f.slot].PushTrail(b)
 	}
 	if fab.markHi > 0 && b.countable {

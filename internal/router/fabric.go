@@ -297,18 +297,14 @@ type node struct {
 }
 
 // stepCtx is the per-worker stage context: the counter sink stage code
-// threads into the buffer accessors, and the scratch the routing stage
-// reuses. Serial stepping uses the fabric's own instance (sink = the
-// fabric-wide counters); each shard owns one.
+// threads into the buffer accessors, the progress table it stamps, and
+// the scratch the routing stage reuses. Serial stepping uses the
+// fabric's own instance (sink = the fabric-wide counters, table 0);
+// each shard owns one.
 type stepCtx struct {
 	nc    *netCounters
+	shard int   // index of the progress table this context stamps (slots.go)
 	ports []int // routeAdaptive scratch
-	// atomic marks a shard worker's context: the fused
-	// route/inject/detect round runs injection progress stores
-	// concurrently with detection loads at other shards, so stamps must
-	// go through the atomic store (same-value, hence order-free). Serial
-	// stepping keeps the plain store.
-	atomic bool
 }
 
 // Fabric is the whole network of routers plus global bookkeeping. It is
@@ -344,10 +340,13 @@ type Fabric struct {
 	flits []flit
 	depth int32 // Config.BufDepth: every ring's capacity
 
-	// The slot table (see slots.go): hot per-packet records and the
-	// cold slot -> packet map, both indexed by flit.slot, plus the LIFO
-	// free list of released slots.
+	// The slot tables (see slots.go), all indexed by flit.slot: hot
+	// per-packet records, header arrival cycles, one progress table per
+	// shard and the cold slot -> packet map, plus the LIFO free list of
+	// released slots.
 	slots     []slotRec
+	headArr   []int64
+	progs     [][]int64
 	slotPkt   []*packet.Packet
 	freeSlots []int32
 
@@ -456,12 +455,12 @@ type Fabric struct {
 	adaptHi    int
 	adaptLo    int
 
-	// popped marks input lanes whose buffer has already been popped by a
-	// committed crossbar move this stage (one bit per lane, poppedDirty
-	// lists the set bits for O(moves) clearing). The crossbar finalize
-	// round uses it to reconstruct serial credit visibility.
-	popped      []uint64
-	poppedDirty []int32
+	// popped marks input lanes whose buffer a committed crossbar move
+	// pops this cycle (one bit per lane). The scan round sets the bits
+	// of its own nodes' moves, the referee those of the moves it
+	// commits, and the apply round clears each bit as it pops; the
+	// referee reads them to reconstruct serial credit visibility.
+	popped []uint64
 }
 
 // New builds the fabric. The configuration must validate.
@@ -602,14 +601,10 @@ func New(cfg Config) (*Fabric, error) {
 		}
 		nd.src = srcSlot{fab: f, node: nd.id}
 	}
-	// Slot 0 is reserved (the zero flit and a free output VC name it),
-	// so the tables start one record long.
-	sc := f.slotCapacity()
-	f.slots = make([]slotRec, 1, sc)
-	f.slotPkt = make([]*packet.Packet, 1, sc)
-	f.freeSlots = make([]int32, 0, sc)
 	f.serial = stepCtx{nc: &f.net}
 	f.initShards()
+	f.initSlots() // after initShards: one progress table per shard
+
 	return f, nil
 }
 

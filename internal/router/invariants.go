@@ -14,10 +14,14 @@ import (
 // latched flit, binding, owner, source, suspect and the recovery drain
 // names a live slot; each live record mirrors its packet's Mode and
 // Length; the live slots number InFlight() and are disjoint from the
-// free list, which together cover the table), per-packet flit
-// conservation (buffered + consumed + in the recovery lane == length),
-// and the packet-recycling guard: no live slot may hold a packet
-// already returned to a packet.Pool.
+// free list, which together cover the table; there is one progress
+// table per shard, every table spans the slot table, and a free slot's
+// entries are zero in all of them), per-packet flit conservation
+// (buffered + consumed + in the recovery lane == length), the
+// packet-recycling guard (no live slot may hold a packet already
+// returned to a packet.Pool), and the sharded stepper's between-Steps
+// state: the popped-lane bitset is clear and every shard's scratch
+// lists are empty.
 // It exists for tests and debugging; it is O(network size) and is never
 // called by Step.
 func (f *Fabric) CheckInvariants() error {
@@ -208,6 +212,9 @@ func (f *Fabric) CheckInvariants() error {
 	if err := f.checkSlots(live); err != nil {
 		return err
 	}
+	if err := f.checkShardScratch(); err != nil {
+		return err
+	}
 
 	// Per-packet conservation, in slot order.
 	for s := 1; s < len(f.slots); s++ {
@@ -233,18 +240,36 @@ func (f *Fabric) CheckInvariants() error {
 	return nil
 }
 
-// checkSlots verifies the slot table itself: live records mirror their
-// packets, live and free slots partition the table, the live count is
-// the in-flight count, and the recovery drain and the suspect queue
-// name live packets in the matching mode.
+// checkSlots verifies the slot tables themselves: they are parallel
+// (one progress table per shard), live records mirror their packets,
+// free slots are zero in every table, live and free slots partition the
+// table, the live count is the in-flight count, and the recovery drain
+// and the suspect queue name live packets in the matching mode.
 func (f *Fabric) checkSlots(live func(int32) bool) error {
-	if len(f.slots) != len(f.slotPkt) || len(f.slots) == 0 || f.slotPkt[0] != nil {
-		return fmt.Errorf("slot table malformed: %d records, %d packet entries", len(f.slots), len(f.slotPkt))
+	if len(f.slots) != len(f.slotPkt) || len(f.slots) != len(f.headArr) || len(f.slots) == 0 || f.slotPkt[0] != nil {
+		return fmt.Errorf("slot table malformed: %d records, %d packet entries, %d arrival stamps",
+			len(f.slots), len(f.slotPkt), len(f.headArr))
+	}
+	if want := max(len(f.shards), 1); len(f.progs) != want {
+		return fmt.Errorf("%d progress tables, want one per shard (%d)", len(f.progs), want)
+	}
+	for i, pt := range f.progs {
+		if len(pt) != len(f.slots) {
+			return fmt.Errorf("progress table %d has %d entries, slot table %d", i, len(pt), len(f.slots))
+		}
 	}
 	nlive := 0
 	for s := 1; s < len(f.slots); s++ {
 		p := f.slotPkt[s]
 		if p == nil {
+			if f.slots[s] != (slotRec{}) || f.headArr[s] != 0 {
+				return fmt.Errorf("free slot %d has a record %+v, arrival %d", s, f.slots[s], f.headArr[s])
+			}
+			for i, pt := range f.progs {
+				if pt[s] != 0 {
+					return fmt.Errorf("free slot %d has progress %d in table %d", s, pt[s], i)
+				}
+			}
 			continue
 		}
 		nlive++
@@ -280,6 +305,33 @@ func (f *Fabric) checkSlots(live func(int32) bool) error {
 	for _, sp := range f.suspects {
 		if !live(sp.slot) || f.slots[sp.slot].mode != packet.Suspected {
 			return fmt.Errorf("suspect queue names slot %d, not a live suspected packet", sp.slot)
+		}
+	}
+	return nil
+}
+
+// checkShardScratch verifies the sharded stepper leaves nothing behind
+// between Steps: the apply round clears every popped bit it set, and
+// every per-round scratch list is drained by its consumer.
+func (f *Fabric) checkShardScratch() error {
+	for w, bits := range f.popped {
+		if bits != 0 {
+			return fmt.Errorf("popped-lane word %d = %x between Steps", w, bits)
+		}
+	}
+	for si := range f.shards {
+		sh := &f.shards[si]
+		if len(sh.cands) != 0 || len(sh.moves) != 0 || len(sh.delivered) != 0 || len(sh.suspects) != 0 {
+			return fmt.Errorf("shard %d scratch not drained: %d referee ports, %d moves, %d deliveries, %d suspects",
+				si, len(sh.cands), len(sh.moves), len(sh.delivered), len(sh.suspects))
+		}
+		for d, hs := range sh.hand {
+			if len(hs) != 0 {
+				return fmt.Errorf("shard %d mailbox to shard %d holds %d handoffs", si, d, len(hs))
+			}
+		}
+		if sh.delta != (netCounters{}) || sh.deliveredFlits != 0 {
+			return fmt.Errorf("shard %d has unfolded counters %+v, %d delivered flits", si, sh.delta, sh.deliveredFlits)
 		}
 	}
 	return nil

@@ -10,15 +10,18 @@ import (
 //
 // With Config.Workers > 1 the node array is split into fixed contiguous
 // shards (aligned to 64-node boundaries so two shards never share an
-// active-bitset word) and each per-cycle stage runs as one or more
-// parallel rounds over the shards, with a barrier between rounds. The
-// discipline that keeps results byte-identical to serial stepping:
+// active-bitset word, nor a word of the popped-lane bitset) and each
+// per-cycle stage runs as one or more parallel rounds over the shards,
+// with a barrier between rounds. The discipline that keeps results
+// byte-identical to serial stepping:
 //
-//   - Within a round, a shard only writes state owned by its own nodes
-//     (buffers, latches, masks, round-robin pointers) plus its private
-//     scratch (counter deltas, handoff mailboxes, move/suspect lists).
-//     The only shared writes are same-value atomic stores of the
-//     progress stamps in the slot table (slots.go).
+//   - Within a round, a shard writes nothing another shard reads in the
+//     same round: only state owned by its own nodes (buffers, latches,
+//     masks, round-robin pointers, popped bits), its private scratch
+//     (counter deltas, handoff mailboxes, move/suspect lists) and its
+//     own progress table (slots.go). The one shared structure written
+//     concurrently is the active bitsets' summary level, by atomic
+//     Or/And of distinct bits, read only between rounds (buffer.go).
 //   - Cross-node effects are staged, never applied in place: link
 //     traversals into another node go through per-(source, destination)
 //     shard mailboxes and are applied by the destination shard in source
@@ -27,17 +30,18 @@ import (
 //     order — exactly the serial visitation order.
 //   - The one stage whose serial semantics are order-dependent — the
 //     crossbar, where a pop at node i frees a downstream credit a later
-//     node j can observe in the same cycle — runs in three rounds:
-//     a parallel speculative scan against the cycle-start snapshot, a
-//     serial finalize in node-index order that re-arbitrates only the
-//     ports whose outcome could depend on same-cycle pops (tracked with
-//     a popped-lane bitset), and a parallel apply of the committed
+//     node j can observe in the same cycle — runs in three rounds: a
+//     parallel scan against the cycle-start snapshot that commits every
+//     port whose outcome cannot depend on same-cycle pops, a serial
+//     referee in node-index order that re-arbitrates only the ports
+//     blocked on a full buffer at an earlier node (the only pops serial
+//     order makes visible), and a parallel apply of the committed
 //     moves, each at its owning shard.
 //
 // Scheduling therefore cannot influence results: every cross-shard
-// interaction is either commutative (same-value stores) or serialized in
-// node-index order. Workers park on channels between rounds (no
-// spinning), so a single-CPU host degrades gracefully.
+// interaction is either commutative (summary bits, counter deltas) or
+// serialized in node-index order. Workers park on channels between
+// rounds (no spinning), so a single-CPU host degrades gracefully.
 //
 // Per-cycle cost tracks the active population, not the network size:
 //
@@ -49,16 +53,14 @@ import (
 //     (each buffer has exactly one upstream latch, so it receives at
 //     most one handoff per cycle and the push order cannot matter);
 //     the merge round only runs when a handoff actually crossed a shard
-//     boundary. In Recovery mode routing, injection and detection
-//     collapse into one phRouteInjectDetect round — legal because all
-//     their writes are own-node except the slot records' progress stamps
-//     (atomic, same-value) and the detection scan reads those stamps
-//     through the matching atomic load; a packet injection touches made
-//     progress no earlier than the previous cycle, so the racing read
-//     cannot flip a timeout verdict. Avoidance mode keeps phRoute and
-//     phInject separate: routeHeader may demote a packet to the escape
-//     lane (a mode write to its slot record) while another shard's
-//     injection reads the mode of the same packet.
+//     boundary. In Recovery mode routing and injection share one
+//     phRouteInject round (routing never changes a packet's mode
+//     there), and detection follows in its own phDetect round, reading
+//     the progress tables after the barrier exactly as the serial scan
+//     does. Avoidance mode keeps phRoute and phInject separate:
+//     routeHeader may demote a packet to the escape lane (a mode write
+//     to its slot record) while another shard's injection reads the
+//     mode of the same packet.
 //   - The coordinator picks serial vs sharded execution per cycle from
 //     the active-lane count with hysteresis (Config.Dispatch); both
 //     paths are byte-identical, so the decision is scheduling-only.
@@ -67,14 +69,15 @@ import (
 type phaseID uint8
 
 const (
-	phLinkLocal         phaseID = iota // clear own latches; push same-shard, stage cross-shard
-	phLinkMerge                        // push cross-shard handoffs into own nodes
-	phXbarScan                         // speculative switch allocation against the snapshot
-	phXbarApply                        // pop/latch the committed moves
-	phRoute                            // central arbiter, own nodes only (Avoidance)
-	phInject                           // injection streaming, own nodes only (Avoidance)
-	phRouteInjectDetect                // fused route+inject+detect, own nodes only (Recovery)
-	phExit                             // shut the worker down
+	phLinkLocal   phaseID = iota // clear own latches; push same-shard, stage cross-shard
+	phLinkMerge                  // push cross-shard handoffs into own nodes
+	phXbarScan                   // switch allocation against the snapshot; commit the unambiguous ports
+	phXbarApply                  // pop/latch the committed moves
+	phRoute                      // central arbiter, own nodes only (Avoidance)
+	phInject                     // injection streaming, own nodes only (Avoidance)
+	phRouteInject                // fused route+inject, own nodes only (Recovery)
+	phDetect                     // deadlock-timeout scan, own nodes only (Recovery)
+	phExit                       // shut the worker down
 )
 
 // handoff is one link traversal crossing into another shard's node: the
@@ -84,16 +87,13 @@ type handoff struct {
 	fl flit
 }
 
-// xbCand is one output port's speculative arbitration outcome: the
-// snapshot winner (o == nil when none; its input buffer is o.ownerGid)
-// and whether a credit-blocked lane earlier in round-robin order could
-// steal the grant once same-cycle pops are visible.
+// xbCand is a physical output port the scan left to the referee: a lane
+// ahead of any snapshot winner is blocked on a full buffer at an
+// earlier node, which a same-cycle pop there could free before this
+// port's serial turn.
 type xbCand struct {
-	o       *outVC
-	ni      int32
-	p       int16
-	vi      int16
-	flagged bool
+	ni int32
+	p  int16
 }
 
 // xbMove is a committed crossbar move, applied by the owning shard.
@@ -110,14 +110,14 @@ type xbMove struct {
 type shard struct {
 	lo, hi int
 
-	ctx   stepCtx     // counter sink (the delta below) + route scratch
+	ctx   stepCtx     // counter sink (the delta below), progress table, route scratch
 	delta netCounters // folded into the fabric's sums between rounds
 
 	hand           [][]handoff // hand[dstShard]: staged link handoffs
 	delivered      []int32     // slots of tails consumed at delivery, node order
 	deliveredFlits int64
 
-	cands    []xbCand // speculative crossbar outcomes, node order
+	cands    []xbCand // ports left to the crossbar referee, node order
 	moves    []xbMove // committed crossbar moves for this shard's nodes
 	suspects []suspect
 }
@@ -174,12 +174,11 @@ func (f *Fabric) initShards() {
 		sh := &f.shards[i]
 		sh.lo = i * span
 		sh.hi = min((i+1)*span, nodes)
-		sh.ctx = stepCtx{nc: &sh.delta, atomic: true}
+		sh.ctx = stepCtx{nc: &sh.delta, shard: i}
 		n := sh.hi - sh.lo
-		// Crossbar scan: at most one candidate (or flagged placeholder)
-		// per physical port plus one per delivery channel, per node;
-		// committed moves are a subset of candidates.
-		sh.cands = make([]xbCand, 0, n*(phys+dlv))
+		// Crossbar: at most one referee port per physical port, and one
+		// move per physical port plus one per delivery channel, per node.
+		sh.cands = make([]xbCand, 0, n*phys)
 		sh.moves = make([]xbMove, 0, n*(phys+dlv))
 		// Link stage: at most one tail per delivery channel per cycle.
 		sh.delivered = make([]int32, 0, n*dlv)
@@ -206,8 +205,6 @@ func (f *Fabric) initShards() {
 	}
 	f.shardActive = make([]bool, ns)
 	f.popped = make([]uint64, (len(f.bufs)+63)>>6)
-	// Referee scratch: one committed pop per committed move.
-	f.poppedDirty = make([]int32, 0, nodes*(phys+dlv))
 	f.adaptHi = f.cfg.AdaptHigh
 	if f.adaptHi == 0 {
 		f.adaptHi = 64 * ns
@@ -310,15 +307,15 @@ func (f *Fabric) markActive(aw *activeWords) {
 	}
 }
 
-// markActiveUnion is markActive over the three bitsets the fused
-// route/inject/detect round walks.
+// markActiveUnion is markActive over the two bitsets the fused
+// route/inject round walks.
 //
 //stcc:serialonly
 //stcc:hotpath
-func (f *Fabric) markActiveUnion(a, b, c *activeWords) {
+func (f *Fabric) markActiveUnion(a, b *activeWords) {
 	for si := range f.shards {
 		sh := &f.shards[si]
-		f.shardActive[si] = a.anyIn(sh.lo, sh.hi) || b.anyIn(sh.lo, sh.hi) || c.anyIn(sh.lo, sh.hi)
+		f.shardActive[si] = a.anyIn(sh.lo, sh.hi) || b.anyIn(sh.lo, sh.hi)
 	}
 }
 
@@ -401,20 +398,21 @@ func (f *Fabric) runShardPhase(ph phaseID, si int) {
 		f.routeShard(sh)
 	case phInject:
 		f.injectShard(sh)
-	case phRouteInjectDetect:
+	case phRouteInject:
 		f.routeShard(sh)
 		f.injectShard(sh)
+	case phDetect:
 		f.detectShard(sh)
 	}
 }
 
 // stepSharded is Step's parallel form: the same stage order, each stage
-// expanded into its rounds. Recovery, merges and the suspect queue stay
-// on the coordinator. A stage's rounds only go to shards with relevant
-// work (the mark*/runPhaseMasked pair), and a saturated Recovery-mode
-// cycle costs four barriers (link, scan, apply, fused
-// route/inject/detect) plus an occasional merge when a flit crosses a
-// shard boundary — down from seven blanket rounds.
+// expanded into its rounds. Recovery, merges, the crossbar referee and
+// the suspect queue stay on the coordinator. A stage's rounds only go
+// to shards with relevant work (the mark*/runPhaseMasked pair), and a
+// saturated Recovery-mode cycle costs five barriers (link, scan, apply,
+// route/inject, detect) plus an occasional merge when a flit crosses a
+// shard boundary.
 //
 //stcc:hotpath
 func (f *Fabric) stepSharded() {
@@ -433,17 +431,20 @@ func (f *Fabric) stepSharded() {
 	if f.net.ownedOuts > 0 {
 		f.markActive(&f.actOwned)
 		f.runPhaseMasked(phXbarScan)
-		f.finalizeXbar()
+		f.refereeXbar()
 		f.markMoves()
 		f.runPhaseMasked(phXbarApply)
 		f.foldDeltas()
-		f.clearXbar()
 	}
 	if f.cfg.Mode == Recovery {
-		if f.net.pendingIns > 0 || f.net.srcActive > 0 || f.net.occupiedIns > 0 {
-			f.markActiveUnion(&f.actPending, &f.actSrc, &f.actOccupied)
-			f.runPhaseMasked(phRouteInjectDetect)
+		if f.net.pendingIns > 0 || f.net.srcActive > 0 {
+			f.markActiveUnion(&f.actPending, &f.actSrc)
+			f.runPhaseMasked(phRouteInject)
 			f.foldDeltas()
+		}
+		if f.net.occupiedIns > 0 {
+			f.markActive(&f.actOccupied)
+			f.runPhaseMasked(phDetect)
 			f.mergeSuspects()
 		}
 		f.serviceSuspects()
@@ -577,9 +578,10 @@ func (f *Fabric) mergeLink() {
 	}
 }
 
-// xbarScanShard runs speculative switch allocation for the shard's own
-// nodes against the cycle-start snapshot. No state is mutated; outcomes
-// are recorded in node order for the serial finalize round.
+// xbarScanShard runs switch allocation for the shard's own nodes
+// against the cycle-start snapshot, committing every port whose outcome
+// is already final and queueing the rest for the referee, in node
+// order.
 //
 //stcc:shardstage
 //stcc:hotpath
@@ -602,11 +604,14 @@ func (f *Fabric) xbarScanShard(sh *shard) {
 }
 
 // xbarScanPort arbitrates one output port against the snapshot: the
-// round-robin scan the serial crossbar runs, except that a losing lane
-// blocked only on a downstream credit flags the port, because a pop at a
-// lower-numbered node could free that credit before this port's serial
-// turn. Flagged ports are re-arbitrated in the finalize round; ports
-// with no credit-blocked lane ahead of the winner commit as scanned.
+// round-robin scan the serial crossbar runs. Frozen and empty lanes are
+// stable for the whole stage, and credit only grows as pops free it, so
+// the snapshot's winner would win serially too — unless a lane ahead of
+// it is blocked on a full downstream buffer that a pop earlier in serial
+// order could free. Serial order is node order and a port's lanes all
+// feed one downstream node, so that can happen only when the downstream
+// node precedes ni; such a port goes to the referee and everything else
+// commits here.
 //
 //stcc:hotpath
 func (f *Fabric) xbarScanPort(ni, p, base, nvc int, sh *shard) {
@@ -614,7 +619,6 @@ func (f *Fabric) xbarScanPort(ni, p, base, nvc int, sh *shard) {
 	outs := f.outsA[ni*f.lanesOut+base : ni*f.lanesOut+base+nvc]
 	start := f.nodes[ni].swPtr[p]
 	dlv := p == f.dlvPort
-	flagged := false
 	for i := 0; i < nvc; i++ {
 		vi := start + i
 		if vi >= nvc {
@@ -633,62 +637,67 @@ func (f *Fabric) xbarScanPort(ni, p, base, nvc int, sh *shard) {
 		if !dlv {
 			tg := f.dstGid[ni*f.lanesOut+base+vi]
 			if f.occ[tg] == f.depth {
-				flagged = true // a same-cycle pop downstream could free this
-				continue
+				if f.precedes(tg, ni) {
+					// A same-cycle pop at the earlier node could free this.
+					sh.cands = append(sh.cands, xbCand{ni: int32(ni), p: int16(p)})
+					return
+				}
+				continue // a pop at a later node comes after this port's turn
 			}
 		}
-		sh.cands = append(sh.cands, xbCand{o: o, ni: int32(ni), p: int16(p), vi: int16(vi), flagged: flagged})
+		f.commitMove(sh, o, ni, p, vi)
 		if !dlv {
 			return // one flit per physical port per cycle
 		}
 	}
-	if flagged {
-		// No snapshot winner, but a credit-blocked lane might win live.
-		sh.cands = append(sh.cands, xbCand{ni: int32(ni), p: int16(p), vi: -1, flagged: true})
-	}
 }
 
-// finalizeXbar is the serial round: it walks the speculative outcomes in
-// node-index order, commits the unambiguous ones, and re-arbitrates the
-// flagged ports with live credit — the snapshot occupancy minus the pops
-// committed so far, exactly the state the serial crossbar would see at
-// that node's turn.
+// precedes reports whether input lane g belongs to a node before ni in
+// node order, the serial crossbar's visiting order.
 //
-//stcc:serialonly
 //stcc:hotpath
-func (f *Fabric) finalizeXbar() {
-	for si := range f.shards {
-		sh := &f.shards[si]
-		for ci := range sh.cands {
-			c := &sh.cands[ci]
-			if !c.flagged {
-				f.commitMove(sh, c)
-				continue
-			}
-			f.refereePort(sh, c)
-		}
-	}
-}
+func (f *Fabric) precedes(g int32, ni int) bool { return int(g) < ni*f.lanesIn }
 
 // commitMove marks the winner's buffer popped and queues the move for
-// its owning shard's apply round.
+// its owning shard's apply round. The buffer is at node ni, and spans
+// are 64-node aligned, so its popped word belongs to ni's shard alone:
+// the scan round sets bits only in its own words.
 //
-//stcc:serialonly
 //stcc:hotpath
-func (f *Fabric) commitMove(sh *shard, c *xbCand) {
-	g := c.o.ownerGid
+func (f *Fabric) commitMove(sh *shard, o *outVC, ni, p, vi int) {
+	g := o.ownerGid
+	//stcc:shardguard the owner buffer is at this shard's node, and shard spans are 64-node aligned, so the popped word is this shard's own
 	f.popped[g>>6] |= 1 << uint(g&63)
-	f.poppedDirty = append(f.poppedDirty, g)
-	sh.moves = append(sh.moves, xbMove{o: c.o, ni: c.ni, p: c.p, vi: c.vi})
+	sh.moves = append(sh.moves, xbMove{o: o, ni: int32(ni), p: int16(p), vi: int16(vi)})
 }
 
-// refereePort re-runs one flagged physical port's round-robin scan with
-// live credit visibility.
+// refereeXbar is the serial round: it re-arbitrates the ports the scan
+// left open in node-index order, against live credit — the snapshot
+// occupancy minus the pops committed at earlier nodes, exactly the state
+// the serial crossbar would see at that node's turn.
 //
 //stcc:serialonly
 //stcc:hotpath
-func (f *Fabric) refereePort(sh *shard, c *xbCand) {
-	ni, p := int(c.ni), int(c.p)
+func (f *Fabric) refereeXbar() {
+	for si := range f.shards {
+		sh := &f.shards[si]
+		for _, c := range sh.cands {
+			f.refereePort(sh, int(c.ni), int(c.p))
+		}
+		sh.cands = sh.cands[:0]
+	}
+}
+
+// refereePort re-runs one physical port's round-robin scan with live
+// credit visibility. A popped downstream buffer counts only when its
+// node precedes ni: pops at later nodes (committed by their own scan)
+// happen after this port's turn in serial order. The scan sends only
+// ports whose downstream node precedes ni, so the test holds for every
+// port it is given; it keeps the rule correct on its own.
+//
+//stcc:serialonly
+//stcc:hotpath
+func (f *Fabric) refereePort(sh *shard, ni, p int) {
 	base, nvc := f.outPortBase[p], f.outPortWidth[p]
 	pm := (f.ownedMask[ni] &^ f.latchMask[ni]) >> uint(base)
 	outs := f.outsA[ni*f.lanesOut+base : ni*f.lanesOut+base+nvc]
@@ -710,21 +719,21 @@ func (f *Fabric) refereePort(sh *shard, c *xbCand) {
 		}
 		tg := f.dstGid[ni*f.lanesOut+base+vi]
 		n := f.occ[tg]
-		if f.popped[tg>>6]&(1<<uint(tg&63)) != 0 {
-			n-- // a committed pop at an earlier node freed one credit
+		if f.precedes(tg, ni) && f.popped[tg>>6]&(1<<uint(tg&63)) != 0 {
+			n-- // a pop committed at an earlier node freed one credit
 		}
 		if n == f.depth {
 			continue
 		}
-		cc := xbCand{o: o, ni: c.ni, p: c.p, vi: int16(vi)}
-		f.commitMove(sh, &cc)
+		f.commitMove(sh, o, ni, p, vi)
 		return
 	}
 }
 
 // xbarApplyShard applies the shard's committed moves: pop, progress,
 // latch, and the round-robin pointer update — all state owned by the
-// shard's nodes.
+// shard's nodes — and clears each move's popped bit, leaving the bitset
+// zero for the next cycle.
 //
 //stcc:shardstage
 //stcc:hotpath
@@ -732,7 +741,10 @@ func (f *Fabric) xbarApplyShard(sh *shard) {
 	now := f.now
 	for i := range sh.moves {
 		mv := &sh.moves[i]
-		b := &f.bufs[mv.o.ownerGid]
+		g := mv.o.ownerGid
+		//stcc:shardguard the owner buffer is at this shard's node; its popped word is this shard's own (64-node aligned spans)
+		f.popped[g>>6] &^= 1 << uint(g&63)
+		b := &f.bufs[g]
 		fl := b.pop(sh.ctx.nc)
 		if fl.slot != mv.o.ownerSlot {
 			panic(fmt.Sprintf("router: %v front flit of slot %d, owner slot %d", b, fl.slot, mv.o.ownerSlot))
@@ -751,25 +763,6 @@ func (f *Fabric) xbarApplyShard(sh *shard) {
 		sh.moves[i] = xbMove{}
 	}
 	sh.moves = sh.moves[:0]
-}
-
-// clearXbar resets the popped-lane bitset and the speculative outcome
-// lists (capacity retained).
-//
-//stcc:serialonly
-//stcc:hotpath
-func (f *Fabric) clearXbar() {
-	for _, g := range f.poppedDirty {
-		f.popped[g>>6] &^= 1 << uint(g&63)
-	}
-	f.poppedDirty = f.poppedDirty[:0]
-	for si := range f.shards {
-		sh := &f.shards[si]
-		for i := range sh.cands {
-			sh.cands[i] = xbCand{}
-		}
-		sh.cands = sh.cands[:0]
-	}
 }
 
 // routeShard runs the central arbiter for the shard's own nodes. Route
@@ -804,14 +797,14 @@ func (f *Fabric) injectShard(sh *shard) {
 	}
 }
 
-// detectShard scans the shard's own nodes for deadlock timeouts; fresh
-// suspects collect per shard and are concatenated — and only then
-// frozen — in shard order, the serial append order. Deferring the
-// mode write to the coordinator keeps this round free of mode races
-// against concurrent routing and injection (detection shares the
-// fused phRouteInjectDetect round), and changes nothing else: a
-// packet's head flit fronts exactly one lane network-wide, so no other
-// detect decision this cycle could have observed the earlier write.
+// detectShard scans the shard's own nodes for deadlock timeouts, in its
+// own round after routing and injection, so it reads the progress
+// tables in the state the serial scan sees. Fresh suspects collect per
+// shard and are concatenated — and only then frozen — in shard order,
+// the serial append order. Deferring the mode write to the coordinator
+// changes nothing: a packet's head flit fronts exactly one lane
+// network-wide, so no other detect decision this cycle could have
+// observed the earlier write.
 //
 //stcc:shardstage
 //stcc:hotpath

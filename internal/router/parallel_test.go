@@ -47,79 +47,233 @@ func TestShardedStepMatchesSerial(t *testing.T) {
 			if len(serial.shards) != 0 {
 				t.Fatalf("serial twin unexpectedly sharded")
 			}
-
-			var serSeq, shSeq []packet.ID
-			serial.OnDelivered = func(p *packet.Packet) { serSeq = append(serSeq, p.ID) }
-			sharded.OnDelivered = func(p *packet.Packet) { shSeq = append(shSeq, p.ID) }
-
-			rng := rand.New(rand.NewSource(11))
-			nodes := serial.topo.Nodes()
-			var id packet.ID
 			cycles := 1200
 			if testing.Short() {
 				cycles = 300
 			}
-			for cyc := 0; cyc < cycles; cyc++ {
-				for n := 0; n < nodes; n++ {
-					if rng.Float64() >= 0.08 {
-						continue
-					}
-					dst := topology.NodeID(rng.Intn(nodes))
-					if dst == topology.NodeID(n) {
-						continue
-					}
-					canSer := serial.CanStartInjection(topology.NodeID(n))
-					if canShard := sharded.CanStartInjection(topology.NodeID(n)); canSer != canShard {
-						t.Fatalf("cycle %d node %d: CanStartInjection serial=%v sharded=%v",
-							cyc, n, canSer, canShard)
-					}
-					if !canSer {
-						continue
-					}
-					serial.StartInjection(packet.New(id, topology.NodeID(n), dst, 8, serial.Now()))
-					sharded.StartInjection(packet.New(id, topology.NodeID(n), dst, 8, sharded.Now()))
-					id++
-				}
-				serial.Step()
-				sharded.Step()
-
-				if len(serSeq) != len(shSeq) {
-					t.Fatalf("cycle %d: %d serial deliveries, %d sharded", cyc, len(serSeq), len(shSeq))
-				}
-				for i := range serSeq {
-					if serSeq[i] != shSeq[i] {
-						t.Fatalf("cycle %d: delivery %d is packet %d serial, %d sharded",
-							cyc, i, serSeq[i], shSeq[i])
-					}
-				}
-				serSeq, shSeq = serSeq[:0], shSeq[:0]
-
-				if serial.net != sharded.net {
-					t.Fatalf("cycle %d: counters diverge: serial %+v, sharded %+v",
-						cyc, serial.net, sharded.net)
-				}
-				if a, b := serial.DeliveredFlits(), sharded.DeliveredFlits(); a != b {
-					t.Fatalf("cycle %d: delivered flits %d serial, %d sharded", cyc, a, b)
-				}
-				if a, b := serial.Recoveries(), sharded.Recoveries(); a != b {
-					t.Fatalf("cycle %d: recoveries %d serial, %d sharded", cyc, a, b)
-				}
-				if a, b := serial.SuspectedPackets(), sharded.SuspectedPackets(); a != b {
-					t.Fatalf("cycle %d: suspects %d serial, %d sharded", cyc, a, b)
-				}
-				if cyc%50 == 0 {
-					if err := sharded.CheckInvariants(); err != nil {
-						t.Fatalf("sharded invariants at cycle %d: %v", cyc, err)
-					}
-					if err := serial.CheckInvariants(); err != nil {
-						t.Fatalf("serial invariants at cycle %d: %v", cyc, err)
-					}
-				}
-			}
+			stepTwins(t, serial, sharded, 11, 0.08, 8, cycles, 50)
 			if mode == Recovery && serial.Recoveries() == 0 {
 				t.Error("load never triggered a recovery; the test is not exercising the recovery merge path")
 			}
 		})
+	}
+}
+
+// stepTwins drives a serial fabric and a sharded twin through one random
+// injection sequence (each node starts a packet of length plen toward a
+// random destination with probability rate per cycle, when its source
+// is free) and requires them to agree after every cycle: delivery
+// order, active-set counters, delivered flits, recoveries and suspects.
+// Both must pass CheckInvariants every checkEvery cycles and at the end.
+func stepTwins(t *testing.T, serial, sharded *Fabric, seed int64, rate float64, plen, cycles, checkEvery int) {
+	t.Helper()
+	var serSeq, shSeq []packet.ID
+	serial.OnDelivered = func(p *packet.Packet) { serSeq = append(serSeq, p.ID) }
+	sharded.OnDelivered = func(p *packet.Packet) { shSeq = append(shSeq, p.ID) }
+
+	rng := rand.New(rand.NewSource(seed))
+	nodes := serial.topo.Nodes()
+	var id packet.ID
+	for cyc := 0; cyc < cycles; cyc++ {
+		for n := 0; n < nodes; n++ {
+			if rng.Float64() >= rate {
+				continue
+			}
+			dst := topology.NodeID(rng.Intn(nodes))
+			if dst == topology.NodeID(n) {
+				continue
+			}
+			canSer := serial.CanStartInjection(topology.NodeID(n))
+			if canShard := sharded.CanStartInjection(topology.NodeID(n)); canSer != canShard {
+				t.Fatalf("cycle %d node %d: CanStartInjection serial=%v sharded=%v",
+					cyc, n, canSer, canShard)
+			}
+			if !canSer {
+				continue
+			}
+			serial.StartInjection(packet.New(id, topology.NodeID(n), dst, plen, serial.Now()))
+			sharded.StartInjection(packet.New(id, topology.NodeID(n), dst, plen, sharded.Now()))
+			id++
+		}
+		serial.Step()
+		sharded.Step()
+
+		if len(serSeq) != len(shSeq) {
+			t.Fatalf("cycle %d: %d serial deliveries, %d sharded", cyc, len(serSeq), len(shSeq))
+		}
+		for i := range serSeq {
+			if serSeq[i] != shSeq[i] {
+				t.Fatalf("cycle %d: delivery %d is packet %d serial, %d sharded",
+					cyc, i, serSeq[i], shSeq[i])
+			}
+		}
+		serSeq, shSeq = serSeq[:0], shSeq[:0]
+
+		if serial.net != sharded.net {
+			t.Fatalf("cycle %d: counters diverge: serial %+v, sharded %+v",
+				cyc, serial.net, sharded.net)
+		}
+		if a, b := serial.DeliveredFlits(), sharded.DeliveredFlits(); a != b {
+			t.Fatalf("cycle %d: delivered flits %d serial, %d sharded", cyc, a, b)
+		}
+		if a, b := serial.Recoveries(), sharded.Recoveries(); a != b {
+			t.Fatalf("cycle %d: recoveries %d serial, %d sharded", cyc, a, b)
+		}
+		if a, b := serial.SuspectedPackets(), sharded.SuspectedPackets(); a != b {
+			t.Fatalf("cycle %d: suspects %d serial, %d sharded", cyc, a, b)
+		}
+		if cyc%checkEvery == 0 || cyc == cycles-1 {
+			if err := sharded.CheckInvariants(); err != nil {
+				t.Fatalf("sharded invariants at cycle %d: %v", cyc, err)
+			}
+			if err := serial.CheckInvariants(); err != nil {
+				t.Fatalf("serial invariants at cycle %d: %v", cyc, err)
+			}
+		}
+	}
+}
+
+// FuzzShardedMatchesSerial fuzzes the twin comparison over the injection
+// seed, the load, the deadlock mode, the worker count (2 to 8, which
+// makes two or four shards on the 256-node twin) and the packet length
+// (1 to 16 flits over 4-flit buffers). Packets no longer than a buffer
+// can outnumber slotCapacity, so short lengths also drive the slot,
+// arrival and per-shard progress tables through their append path.
+func FuzzShardedMatchesSerial(f *testing.F) {
+	f.Add(int64(1), uint8(20), false, uint8(2), uint8(7))
+	f.Add(int64(2), uint8(100), true, uint8(0), uint8(0))
+	f.Add(int64(3), uint8(127), true, uint8(6), uint8(1))
+	f.Add(int64(4), uint8(60), false, uint8(1), uint8(15))
+	f.Add(int64(5), uint8(90), true, uint8(3), uint8(3))
+	f.Fuzz(func(t *testing.T, seed int64, load uint8, recovery bool, workers, length uint8) {
+		mode := Avoidance
+		if recovery {
+			mode = Recovery
+		}
+		serCfg, shCfg := twinConfig(mode, 0), twinConfig(mode, 2+int(workers)%7)
+		serCfg.DeadlockTimeout, shCfg.DeadlockTimeout = 24, 24
+		serial, sharded := MustNew(serCfg), MustNew(shCfg)
+		defer sharded.Close()
+		rate := float64(load%128) / 256 // up to one start per node every two cycles
+		stepTwins(t, serial, sharded, seed, rate, 1+int(length)%16, 200, 50)
+	})
+}
+
+// TestShardedRefereeOrder pins the crossbar's serial credit visibility
+// in sharded stepping with two hand-built blocked ports across the
+// boundary between shard 0 (nodes 0-63) and shard 1 (nodes 64-127) of a
+// 16-ary 2-cube, in one cycle:
+//
+//   - node 64's port toward node 48 holds a header whose downstream
+//     buffer at node 48 is full, and node 48 pops that buffer in the same
+//     cycle. Serial stepping visits node 48 first, so the credit is free
+//     by node 64's turn and the header must move.
+//   - node 48's port toward node 64 is blocked the same way, and node 64
+//     pops the downstream buffer in the same cycle. Serial stepping
+//     visits node 48 first, so the credit is still taken and the header
+//     must not move.
+//
+// Each full buffer drains into its node's delivery channel, which needs
+// no credit. The scan must hand the first port to the referee and
+// settle the second itself, and the sharded result must match a serial
+// twin lane for lane.
+func TestShardedRefereeOrder(t *testing.T) {
+	const early, late = 48, 64
+	build := func(workers int) (f *Fabric, toEarly, toLate int) {
+		f = MustNew(twinConfig(Avoidance, workers))
+		toEarly, toLate = -1, -1
+		for p := 0; p < f.topo.PhysPorts(); p++ {
+			if f.topo.Neighbor(late, topology.PortDim(p), topology.PortDir(p)) == early {
+				toEarly = p
+			}
+			if f.topo.Neighbor(early, topology.PortDim(p), topology.PortDir(p)) == late {
+				toLate = p
+			}
+		}
+		if toEarly < 0 || toLate < 0 {
+			t.Fatalf("nodes %d and %d are not neighbors", early, late)
+		}
+		const vc = 1
+		var id packet.ID
+		// plant puts a whole packet in buffer b, bound to output VC
+		// (port, vc) of b's node, as if it had been injected and routed.
+		plant := func(b *vcBuffer, dst topology.NodeID, port, vc int) {
+			p := packet.New(id, b.node, dst, int(f.depth), 0)
+			id++
+			s := f.takeSlot(p)
+			for i := int32(0); i < f.depth; i++ {
+				b.push(flit{slot: s, idx: i}, &f.net)
+			}
+			p.SrcRemaining = 0
+			p.InjectedAt = 0
+			f.inFlight++
+			b.setBinding(s, port, vc, &f.net)
+			f.nodes[b.node].outs[port][vc].acquire(b.gid, s, &f.net)
+		}
+		inj := func(ni int) *vcBuffer { return &f.nodes[ni].inputs[f.injPort][0] }
+		fedBy := func(ni, port int) *vcBuffer {
+			return &f.bufs[f.dstGid[ni*f.lanesOut+port*f.cfg.VCs+vc]]
+		}
+		plant(fedBy(late, toEarly), early, f.dlvPort, 0)
+		plant(inj(late), early, toEarly, vc)
+		plant(fedBy(early, toLate), late, f.dlvPort, 0)
+		plant(inj(early), late, toLate, vc)
+		if err := f.CheckInvariants(); err != nil {
+			t.Fatalf("planted state: %v", err)
+		}
+		return f, toEarly, toLate
+	}
+
+	// The scan alone: both delivery moves and nothing else commit, and
+	// only the port toward the earlier node goes to the referee.
+	f, toEarly, toLate := build(4)
+	if len(f.shards) != 4 {
+		t.Fatalf("%d shards, want 4", len(f.shards))
+	}
+	for si := range f.shards {
+		f.xbarScanShard(&f.shards[si])
+	}
+	if c := f.shards[1].cands; len(c) != 1 || c[0] != (xbCand{ni: late, p: int16(toEarly)}) {
+		t.Errorf("shard 1 referee ports %v, want only node %d port %d", c, late, toEarly)
+	}
+	for _, si := range []int{0, 1} {
+		if mv := f.shards[si].moves; len(mv) != 1 || int(mv[0].p) != f.dlvPort {
+			t.Errorf("shard %d scan committed %v, want its delivery move only", si, mv)
+		}
+	}
+	if n := len(f.shards[0].cands); n != 0 {
+		t.Errorf("shard 0 sent %d ports to the referee; node %d's port toward node %d must settle in the scan", n, early, late)
+	}
+
+	serial, _, _ := build(0)
+	sharded, _, _ := build(4)
+	defer sharded.Close()
+	serial.Step()
+	sharded.Step()
+	latch := func(f *Fabric, ni, port int) flit { return f.nodes[ni].outs[port][1].lat.f }
+	if fl := latch(serial, late, toEarly); !fl.valid() || !fl.isHead() {
+		t.Fatalf("serial: node %d's header did not cross toward node %d (latch %+v)", late, early, fl)
+	}
+	if fl := latch(serial, early, toLate); fl.valid() {
+		t.Fatalf("serial: node %d's header crossed toward node %d before the credit freed (latch %+v)", early, late, fl)
+	}
+	for i := range serial.outsA {
+		if a, b := serial.outsA[i].lat.f, sharded.outsA[i].lat.f; a != b {
+			t.Errorf("output lane %d latch: serial %+v, sharded %+v", i, a, b)
+		}
+	}
+	for g := range serial.occ {
+		if serial.occ[g] != sharded.occ[g] {
+			t.Errorf("input lane %d occupancy: serial %d, sharded %d", g, serial.occ[g], sharded.occ[g])
+		}
+	}
+	if serial.net != sharded.net {
+		t.Errorf("counters: serial %+v, sharded %+v", serial.net, sharded.net)
+	}
+	for _, f := range []*Fabric{serial, sharded} {
+		if err := f.CheckInvariants(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 

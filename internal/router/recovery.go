@@ -87,12 +87,11 @@ func (f *Fabric) detectDeadlock() {
 
 // detectNode scans node ni's input lanes whose front flit is a header
 // and appends fresh timeouts to out (in lane order). It only reads: the
-// caller freezes the collected suspects afterwards (freezeSuspects), so
-// the same scan can run inside the fused parallel round, where a Mode
-// write here would race with concurrent routing and injection reading
-// Mode at other shards. A packet's head flit fronts exactly one lane
-// network-wide, so deferring the freeze cannot change any other detect
-// decision within the cycle.
+// caller freezes the collected suspects afterwards (freezeSuspects), on
+// the coordinator and in serial order, so the same scan can run in a
+// parallel round that writes only its shard's suspect list. A packet's
+// head flit fronts exactly one lane network-wide, so deferring the
+// freeze cannot change any other detect decision within the cycle.
 //
 //stcc:hotpath
 func (f *Fabric) detectNode(ni int, out *[]suspect) {

@@ -1,8 +1,6 @@
 package router
 
 import (
-	"sync/atomic"
-
 	"repro/internal/packet"
 )
 
@@ -17,37 +15,40 @@ import (
 // is never handed out, which makes the zero flit and a zero owner mean
 // "none".
 //
-// Two parallel tables are indexed by slot:
+// Parallel tables indexed by slot, split by who writes them so that no
+// parallel round writes an element another shard reads in that round:
 //
 //   - slots, the hot records every flit move consults (frozen check,
-//     tail test, progress stamp, header arrival), 24 bytes each and
-//     pointer-free;
+//     tail test), 8 bytes each and pointer-free. Written at slot
+//     assignment and on mode changes: by the coordinator (freeze,
+//     re-arm, recovery start), plus the escape demotion in avoidance
+//     mode's routing round, made by the one shard holding the packet's
+//     header while injection, the other reader of the mode, waits for
+//     its own round. Each mode write mirrors the packet's own Mode
+//     field, which stays the public record.
+//   - headArr, the cycle the header entered its current buffer, written
+//     by the header push (buffer.go). A header is in exactly one
+//     buffer, so one shard writes it, and only the shard holding the
+//     header reads it: the arbiter runs after a link round's barrier,
+//     and in recovery mode's route+inject round it runs before the same
+//     worker's injection pushes.
+//   - progs, one progress table per shard (a single table when the
+//     fabric is unsharded): the last cycle a flit of the packet
+//     advanced. Every flit move stamps the current cycle into its own
+//     shard's table (serial stages and the coordinator use table 0),
+//     so flits of one worm advancing at several shards in one round
+//     never write the same word. Stamps only ever store the current
+//     cycle, so the packet's last progress is the maximum over the
+//     tables (blockedFor). Detection reads them in its own round,
+//     after the barrier that ends the stamping rounds.
 //   - slotPkt, the cold slot -> *packet.Packet map, read only where
 //     per-packet fields are needed: routing a header (destination),
 //     delivery, trails, marks and recovery.
 //
-// Who writes a record, and when:
-//
-//   - prog: every flit move. Serial stages store plainly; sharded rounds
-//     store atomically, because flits of one worm advance at several
-//     shards in the same round (all store the current cycle, so the
-//     result is order-free). Detection loads it atomically, since in
-//     recovery mode it shares a round with routing and injection.
-//   - headArr: the header push (buffer.go). A header is in exactly one
-//     buffer, so one shard writes it, and only the shard holding the
-//     header reads it: the arbiter runs after a link round's barrier,
-//     and in recovery mode's fused round it runs before the same
-//     worker's injection pushes.
-//   - mode: the coordinator (freeze, re-arm, recovery start), plus the
-//     escape demotion in avoidance mode's routing round, made by the
-//     one shard holding the packet's header. Each write mirrors the
-//     packet's own Mode field, which stays the public record.
-//   - length: fixed at slot assignment.
+// A free slot's entries are all zero in every table.
 type slotRec struct {
-	prog    int64 // last cycle any flit of the packet advanced
-	headArr int64 // cycle the header entered its current buffer
-	length  int32
-	mode    packet.Mode
+	length int32
+	mode   packet.Mode
 }
 
 // slotCapacity is the slot table's preallocated size: an upper bound
@@ -64,36 +65,62 @@ func (f *Fabric) slotCapacity() int {
 	return len(f.outsA) + len(f.nodes) + 2
 }
 
+// initSlots allocates the slot tables, one progress table per shard (one
+// when the fabric is unsharded). Slot 0 is reserved (the zero flit and
+// a free output VC name it), so every table starts one entry long.
+func (f *Fabric) initSlots() {
+	sc := f.slotCapacity()
+	f.slots = make([]slotRec, 1, sc)
+	f.slotPkt = make([]*packet.Packet, 1, sc)
+	f.headArr = make([]int64, 1, sc)
+	f.progs = make([][]int64, max(len(f.shards), 1))
+	for i := range f.progs {
+		f.progs[i] = make([]int64, 1, sc)
+	}
+	f.freeSlots = make([]int32, 0, sc)
+}
+
 // takeSlot assigns p a slot, seeding its record from the packet: the
 // progress stamp is the pre-injection one the caller set with
-// packet.Progress.
+// packet.Progress, kept in table 0 (the other tables hold zero).
 //
 //stcc:serialonly
 //stcc:hotpath
 func (f *Fabric) takeSlot(p *packet.Packet) int32 {
-	//stcc:atomicguard StartInjection runs between Steps; no stage worker is running
-	rec := slotRec{prog: p.LastProgress, headArr: -1, length: int32(p.Length), mode: p.Mode}
+	rec := slotRec{length: int32(p.Length), mode: p.Mode}
 	if n := len(f.freeSlots); n > 0 {
 		s := f.freeSlots[n-1]
 		f.freeSlots = f.freeSlots[:n-1]
 		f.slots[s] = rec
 		f.slotPkt[s] = p
+		f.headArr[s] = -1
+		f.progs[0][s] = p.LastProgress
 		return s
 	}
 	s := int32(len(f.slots))
 	f.slots = append(f.slots, rec)
 	f.slotPkt = append(f.slotPkt, p)
+	f.headArr = append(f.headArr, -1)
+	f.progs[0] = append(f.progs[0], p.LastProgress)
+	for i := 1; i < len(f.progs); i++ {
+		f.progs[i] = append(f.progs[i], 0)
+	}
 	return s
 }
 
-// releaseSlot returns a delivered packet's slot to the free list and
-// drops the table's reference to the packet, which may be recycled.
+// releaseSlot returns a delivered packet's slot to the free list, zeroes
+// its entries and drops the table's reference to the packet, which may
+// be recycled.
 //
 //stcc:serialonly
 //stcc:hotpath
 func (f *Fabric) releaseSlot(s int32) {
 	f.slots[s] = slotRec{}
 	f.slotPkt[s] = nil
+	f.headArr[s] = 0
+	for _, pt := range f.progs {
+		pt[s] = 0
+	}
 	f.freeSlots = append(f.freeSlots, s)
 }
 
@@ -107,33 +134,26 @@ func (f *Fabric) setMode(s int32, m packet.Mode) {
 	f.slotPkt[s].Mode = m
 }
 
-// stamp records that the packet in slot s advanced at cycle now. A
-// shard context stores atomically: several flits of one worm can
-// advance at different shards in the same round, all storing the same
-// cycle, so the order cannot matter. Serial stepping stores plainly.
+// stamp records that the packet in slot s advanced at cycle now, in the
+// progress table of the stage context's shard. No other shard writes
+// that table, and nothing reads it until the round's barrier.
 //
 //stcc:hotpath
 func (f *Fabric) stamp(ctx *stepCtx, s int32, now int64) {
-	if ctx.atomic {
-		//stcc:shardguard same-value atomic store; every writer this round stores the current cycle
-		atomic.StoreInt64(&f.slots[s].prog, now)
-		return
-	}
-	//stcc:shardguard serial stepping only: every shard context is atomic, so no round reaches this store
-	f.slots[s].prog = now //stcc:atomicguard serial stages are barrier-ordered against the rounds' atomic stores
+	//stcc:shardguard the element lives in this shard's own progress table
+	f.progs[ctx.shard][s] = now
 }
 
 // blockedFor returns how long the packet in slot s has gone without
-// progress as of cycle now. The load is atomic because recovery mode's
-// fused round runs detection beside routing and injection at other
-// shards; the stores racing it carry the current cycle, and a packet
-// they touch progressed no earlier than the previous cycle, so either
-// value reads as blocked for at most one cycle — far below any timeout.
+// progress as of cycle now: the latest stamp over every shard's table.
 //
 //stcc:hotpath
 func (f *Fabric) blockedFor(s int32, now int64) int64 {
-	//stcc:shardguard the address is taken for an atomic load, which writes nothing
-	return now - atomic.LoadInt64(&f.slots[s].prog)
+	last := f.progs[0][s]
+	for _, pt := range f.progs[1:] {
+		last = max(last, pt[s])
+	}
+	return now - last
 }
 
 // isTail reports whether fl is its packet's last flit.

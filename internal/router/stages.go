@@ -225,7 +225,7 @@ func (f *Fabric) tryArbSlot(nd *node, idx, total int, ctx *stepCtx) bool {
 	if f.frozen(s) {
 		return false
 	}
-	if f.slots[s].headArr >= f.now {
+	if f.headArr[s] >= f.now {
 		// The header arrived this cycle; routing occupies the next
 		// cycle (the paper's one-cycle routing delay).
 		return false
