@@ -28,14 +28,14 @@ perfbench-test:
 	cd perfbench && $(GO) test .
 
 # The determinism gate CI runs as its own job: golden fingerprints, the
-# serial-vs-sharded twin comparison (including mid-run hysteresis flips
-# of the adaptive dispatch policy), the registry-wide worker sweep, and
-# the byte-identity golden over every registry entry's report and CSVs,
-# all under the race detector so the parallel stepper's barrier and
-# merge paths are checked for memory-model bugs, not just for byte-equal
-# results.
+# one-shard-vs-sharded twin comparison (including traced fabrics and
+# mid-run hysteresis flips of the adaptive dispatch policy), the
+# registry-wide worker sweep, and the byte-identity golden over every
+# registry entry's report and CSVs, all under the race detector so the
+# parallel stepper's barrier and merge paths are checked for
+# memory-model bugs, not just for byte-equal results.
 determinism:
-	$(GO) test -race -run 'TestSharded|TestShardPartition|TestTracingForcesSerial|TestAdaptiveDispatchFlipsMidRun' ./internal/router/
+	$(GO) test -race -run 'TestSharded|TestShardPartition|TestTracedStepMatchesSerial|TestAdaptiveDispatchFlipsMidRun' ./internal/router/
 	$(GO) test -race -run 'TestDeterminism|TestShardedSteppingAcrossRegistry' .
 	$(GO) test -race -run 'TestRegistryOutputGolden' ./internal/experiments/
 

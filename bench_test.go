@@ -101,11 +101,11 @@ func BenchmarkFabricStep(b *testing.B) {
 }
 
 // benchFabricShapes is fabricShapes plus the 4096-node torus at idle,
-// low and saturated load, stepped serially (w1) and with shard workers
+// low and saturated load, on one inline shard (w1) and with shard workers
 // under the default occupancy-adaptive dispatch (wN), so each pair
 // shows what that policy ships on this machine. wN is every CPU, or 8
-// on a single-CPU host, where the workers exist but adaptive dispatch
-// steps serially. The gate's torus4096-low is the low w1 row. The
+// on a single-CPU host, where the shards exist but adaptive dispatch
+// runs them inline. The gate's torus4096-low is the low w1 row. The
 // saturated rows are too slow to warm up inside the allocation gate,
 // whose forced-sharded rows already cover the parallel step's scratch.
 func benchFabricShapes() []fabricShape {

@@ -23,13 +23,13 @@ import (
 // level (sumWords), and the netCounters sums. The
 // counterguard analyzer enforces the restriction; every transition goes
 // through the accessors below so the masks, the bitsets and the counters
-// can never drift apart, in serial or in sharded stepping.
+// can never drift apart, on inline or concurrent cycles.
 
 // netCounters are the network-wide active-set sums the per-cycle stages
-// consult to skip whole sweeps in O(1). In serial stepping the accessors
-// write the fabric's own instance; in sharded stepping each shard passes
-// its private delta instance and the coordinator folds the deltas into
-// the fabric's between barriers, so workers never contend on them.
+// consult to skip whole sweeps in O(1). Stage rounds pass their shard's
+// private delta instance and the coordinator folds the deltas into the
+// fabric's between rounds, so workers never contend on them; recovery,
+// on the coordinator, writes the fabric's instance directly.
 type netCounters struct {
 	fullBuffers int // completely full countable VC buffers
 	latched     int // output latches holding a flit

@@ -97,26 +97,27 @@ func (s Switching) String() string {
 }
 
 // DispatchPolicy selects how a fabric built with Workers > 1 schedules
-// each cycle. Like Workers itself it is scheduling-only: serial and
-// sharded stepping are byte-identical, so the policy never changes
-// results and is excluded from simulation fingerprints.
+// each cycle: its shard rounds run concurrently on the worker pool, or
+// inline, one after another on the coordinator. Like Workers itself it
+// is scheduling-only: both are byte-identical, so the policy never
+// changes results and is excluded from simulation fingerprints.
 type DispatchPolicy uint8
 
 const (
-	// DispatchAdaptive (the default) picks serial or sharded execution
+	// DispatchAdaptive (the default) picks inline or concurrent rounds
 	// each cycle from the network's active population with hysteresis:
 	// barrier rounds only pay off once enough lanes are live, so a
-	// lightly loaded (or warming-up) network steps serially and flips to
+	// lightly loaded (or warming-up) network steps inline and flips to
 	// the shard workers as occupancy builds. On a single-CPU host it
-	// always steps serially — there is no parallel hardware to amortize
+	// always steps inline — there is no parallel hardware to amortize
 	// the round dispatch.
 	DispatchAdaptive DispatchPolicy = iota
-	// DispatchSharded always uses the sharded stepper when shards exist
-	// (the pre-adaptive behavior; also what the twin tests force so the
+	// DispatchSharded always runs the rounds on the workers when there
+	// is more than one shard (also what the twin tests force so the
 	// parallel machinery is exercised regardless of host shape).
 	DispatchSharded
-	// DispatchSerial always steps serially while keeping the shard
-	// partition built (diagnostic).
+	// DispatchSerial always runs the rounds inline on the coordinator,
+	// over the same shard partition (diagnostic).
 	DispatchSerial
 )
 
@@ -164,19 +165,14 @@ type Config struct {
 	Switching Switching
 	// Workers is the number of shards the cycle loop is partitioned
 	// into, each stepped by its own persistent worker (the coordinator
-	// runs shard 0 in place). 0 or 1 selects serial stepping. The knob
-	// never changes results: sharded stepping is byte-identical to
-	// serial, so it is excluded from simulation fingerprints.
+	// runs shard 0 in place). 0 or 1 selects one shard covering every
+	// node, whose rounds run inline on the coordinator. The knob never
+	// changes results: every partition is byte-identical, so it is
+	// excluded from simulation fingerprints.
 	Workers int
 	// Dispatch selects how a sharded fabric schedules each cycle
 	// (adaptive hysteresis by default). Scheduling-only, like Workers.
 	Dispatch DispatchPolicy
-	// AdaptHigh and AdaptLow override the adaptive dispatch hysteresis
-	// thresholds (active lanes network-wide): serial stepping flips to
-	// sharded at AdaptHigh and back below AdaptLow. Zero selects
-	// defaults scaled by the shard count. Setting AdaptLow requires
-	// AdaptHigh >= AdaptLow.
-	AdaptHigh, AdaptLow int
 	// CongestMark enables DECbit-style congestion marking when positive:
 	// a router raises its congestion bit while the buffered-flit
 	// occupancy across its physical-channel VC buffers is at least
@@ -222,14 +218,8 @@ func (c Config) Validate() error {
 	default:
 		return fmt.Errorf("router: unknown dispatch policy %d", c.Dispatch)
 	}
-	if c.AdaptHigh < 0 || c.AdaptLow < 0 {
-		return fmt.Errorf("router: negative adaptive dispatch threshold (%d, %d)", c.AdaptHigh, c.AdaptLow)
-	}
 	if c.CongestMark < 0 || c.CongestMark > 1 {
 		return fmt.Errorf("router: congestion mark %g out of [0,1]", c.CongestMark)
-	}
-	if c.AdaptLow > c.AdaptHigh {
-		return fmt.Errorf("router: AdaptLow %d exceeds AdaptHigh %d", c.AdaptLow, c.AdaptHigh)
 	}
 	dlv := c.DeliveryChannels
 	if dlv == 0 {
@@ -296,11 +286,11 @@ type node struct {
 	src srcSlot
 }
 
-// stepCtx is the per-worker stage context: the counter sink stage code
+// stepCtx is the per-shard stage context: the counter sink stage code
 // threads into the buffer accessors, the progress table it stamps, and
-// the scratch the routing stage reuses. Serial stepping uses the
-// fabric's own instance (sink = the fabric-wide counters, table 0);
-// each shard owns one.
+// the scratch the routing stage reuses. Each shard owns one; the
+// coordinator's own stamps (token-wait re-arm, takeSlot) go through
+// shard 0's, into table 0.
 type stepCtx struct {
 	nc    *netCounters
 	shard int   // index of the progress table this context stamps (slots.go)
@@ -425,17 +415,18 @@ type Fabric struct {
 
 	// OnEvent, when set, receives packet lifecycle events (injection,
 	// routing, delivery, deadlock suspicion/recovery). Nil costs one
-	// predictable branch per event site. Tracing forces serial stepping
-	// (events interleave with stage work in serial order).
+	// predictable branch per event site. Tracing runs every cycle's
+	// rounds inline, so events keep the node-order interleaving.
 	OnEvent func(e trace.Event)
 
-	serial stepCtx // serial stepping's stage context
-
-	// Sharded stepping state (nil/empty when Workers <= 1 or the
-	// network is too small to split); see parallel.go.
+	// The shard partition (at least one shard; see parallel.go) and the
+	// worker pool that runs concurrent rounds, started lazily.
 	shards    []shard
 	shardSpan int // nodes per shard, a multiple of 64
 	workers   *workerPool
+	// inline is the current cycle's schedule, set by Step: every round
+	// runs on the coordinator, in shard order, with no barriers.
+	inline bool
 
 	// shardActive is the coordinator's per-round dispatch mask: the
 	// mark* helpers derive it from the active-bitset summaries (or the
@@ -447,19 +438,21 @@ type Fabric struct {
 	// a handoff without dividing by the shard span.
 	dstShard []int16
 
-	// Adaptive dispatch (Config.Dispatch): hysteresis state and
-	// resolved thresholds. maxProcs is captured at construction; on a
-	// single-CPU host the adaptive policy never shards.
+	// Adaptive dispatch (Config.Dispatch): hysteresis state and its
+	// thresholds in active lanes network-wide (64 per shard, and half
+	// that to flip back). maxProcs is captured at construction; on a
+	// single-CPU host the adaptive policy never runs rounds concurrently.
 	maxProcs   int
 	useSharded bool
 	adaptHi    int
 	adaptLo    int
 
 	// popped marks input lanes whose buffer a committed crossbar move
-	// pops this cycle (one bit per lane). The scan round sets the bits
-	// of its own nodes' moves, the referee those of the moves it
-	// commits, and the apply round clears each bit as it pops; the
-	// referee reads them to reconstruct serial credit visibility.
+	// pops this cycle (one bit per lane), on concurrent cycles only. The
+	// scan round sets the bits of its own nodes' moves, the referee those
+	// of the moves it commits, and the apply round clears each bit as it
+	// pops; the referee reads them to reconstruct node-order credit
+	// visibility.
 	popped []uint64
 }
 
@@ -601,7 +594,6 @@ func New(cfg Config) (*Fabric, error) {
 		}
 		nd.src = srcSlot{fab: f, node: nd.id}
 	}
-	f.serial = stepCtx{nc: &f.net}
 	f.initShards()
 	f.initSlots() // after initShards: one progress table per shard
 
@@ -762,12 +754,15 @@ func (f *Fabric) StartInjection(pkt *packet.Packet) {
 // The order gives headers the paper's one-cycle routing delay: a header
 // routed in cycle t traverses the crossbar no earlier than t+1.
 //
-// With Workers > 1 the stages run as deterministic parallel rounds over
-// a fixed node partition (see parallel.go); the results are
-// byte-identical to serial stepping, and the dispatch policy (adaptive
-// by default) decides per cycle whether the rounds pay for their
-// barriers. Tracing (OnEvent) forces the serial path so event order
-// stays the serial interleaving.
+// Each stage runs as one or more rounds over the fixed node partition
+// (see parallel.go), and a round only goes to shards with relevant
+// work. A cycle is inline when there is one shard, when tracing
+// (OnEvent) is on, or when the dispatch policy says the barriers do not
+// pay: its rounds then run on the coordinator in shard order, which is
+// node order. Otherwise they run concurrently on the workers. Both are
+// byte-identical. A saturated Recovery-mode concurrent cycle costs five
+// barriers (link, scan, apply, route/inject, detect) plus an occasional
+// merge when a flit crosses a shard boundary.
 //
 //stcc:hotpath
 func (f *Fabric) Step() {
@@ -775,29 +770,67 @@ func (f *Fabric) Step() {
 		// Refresh the cycle-stable congestion bits the marking decision
 		// reads: packets arriving during cycle t are marked against the
 		// bits as of the end of t-1, so the decision never depends on
-		// intra-cycle push order and sharded stepping stays
-		// byte-identical to serial.
+		// intra-cycle push order or on the shard partition.
 		f.snapshotCongestion()
 	}
-	if len(f.shards) > 1 && f.OnEvent == nil && f.dispatchSharded() {
-		f.stepSharded()
-		return
+	f.inline = len(f.shards) == 1 || f.OnEvent != nil || !f.dispatchSharded()
+	if !f.inline && f.workers == nil {
+		f.startWorkers()
 	}
 	f.recoveryStep()
-	f.linkStage()
-	f.crossbarStage()
-	f.routingStage()
-	f.injectionStage()
+	if f.net.latched > 0 {
+		f.markActive(&f.actLatched)
+		f.runPhaseMasked(phLinkLocal)
+		if f.markMailboxes() {
+			f.runPhaseMasked(phLinkMerge)
+		}
+		f.mergeLink()
+	}
+	if f.net.ownedOuts > 0 {
+		f.markActive(&f.actOwned)
+		f.runPhaseMasked(phXbarScan)
+		if !f.inline {
+			f.refereeXbar()
+			f.markMoves()
+			f.runPhaseMasked(phXbarApply)
+		}
+		f.foldDeltas()
+	}
+	if f.cfg.Mode == Recovery && !f.inline {
+		if f.net.pendingIns > 0 || f.net.srcActive > 0 {
+			f.markActiveUnion(&f.actPending, &f.actSrc)
+			f.runPhaseMasked(phRouteInject)
+			f.foldDeltas()
+		}
+	} else {
+		if f.net.pendingIns > 0 {
+			f.markActive(&f.actPending)
+			f.runPhaseMasked(phRoute)
+			f.foldDeltas()
+		}
+		if f.net.srcActive > 0 {
+			f.markActive(&f.actSrc)
+			f.runPhaseMasked(phInject)
+			f.foldDeltas()
+		}
+	}
 	if f.cfg.Mode == Recovery {
-		f.detectDeadlock()
+		if f.net.occupiedIns > 0 {
+			f.markActive(&f.actOccupied)
+			f.runPhaseMasked(phDetect)
+			f.mergeSuspects()
+		}
+		// Serviced even on an empty network: re-arm timers keep running
+		// for frozen packets whose flits sit outside input buffers.
+		f.serviceSuspects()
 	}
 	f.now++
 }
 
 // deliver finalizes the packet in slot s: releases the slot, stamps
-// delivery, updates counters, invokes the callbacks. Parallel rounds
-// queue delivered slots instead and the coordinator calls this between
-// rounds, preserving node-order callbacks (and so the free list order).
+// delivery, updates counters, invokes the callbacks. The link round
+// queues delivered slots instead and the coordinator calls this after
+// it, preserving node-order callbacks (and so the free list order).
 //
 //stcc:serialonly
 //stcc:hotpath
@@ -825,9 +858,9 @@ func (f *Fabric) emit(kind trace.Kind, p *packet.Packet, node topology.NodeID) {
 	})
 }
 
-// countDeliveredFlit accounts one flit leaving through a delivery channel
-// (or the recovery lane). Parallel rounds count into per-shard fields
-// folded by mergeLink, so only serial code may bump the fabric sums.
+// countDeliveredFlit accounts one flit delivered through the recovery
+// lane. Link rounds count delivery channels into per-shard fields
+// folded by mergeLink, so only the coordinator bumps the fabric sums.
 //
 //stcc:serialonly
 //stcc:hotpath

@@ -250,7 +250,7 @@ func (f *Fabric) checkSlots(live func(int32) bool) error {
 		return fmt.Errorf("slot table malformed: %d records, %d packet entries, %d arrival stamps",
 			len(f.slots), len(f.slotPkt), len(f.headArr))
 	}
-	if want := max(len(f.shards), 1); len(f.progs) != want {
+	if want := len(f.shards); len(f.progs) != want {
 		return fmt.Errorf("%d progress tables, want one per shard (%d)", len(f.progs), want)
 	}
 	for i, pt := range f.progs {

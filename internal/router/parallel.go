@@ -6,14 +6,18 @@ import (
 	"sync"
 )
 
-// Deterministic sharded stepping.
+// Deterministic sharded stepping, the fabric's one stepping path.
 //
-// With Config.Workers > 1 the node array is split into fixed contiguous
-// shards (aligned to 64-node boundaries so two shards never share an
-// active-bitset word, nor a word of the popped-lane bitset) and each
-// per-cycle stage runs as one or more parallel rounds over the shards,
-// with a barrier between rounds. The discipline that keeps results
-// byte-identical to serial stepping:
+// The node array is split into fixed contiguous shards, aligned to
+// 64-node boundaries so two shards never share an active-bitset word,
+// nor a word of the popped-lane bitset; Workers 0 or 1, or a network
+// smaller than two spans, makes one shard covering every node. Each
+// per-cycle stage runs as one or more rounds over the shards. A cycle
+// is either inline — every round runs on the coordinator, shard after
+// shard, with no workers and no barriers — or concurrent, with the
+// shards' rounds on the worker pool and a barrier between rounds. Both
+// are byte-identical; inline shard order is node order. The discipline
+// that keeps concurrent rounds byte-identical to inline ones:
 //
 //   - Within a round, a shard writes nothing another shard reads in the
 //     same round: only state owned by its own nodes (buffers, latches,
@@ -27,16 +31,19 @@ import (
 //     shard mailboxes and are applied by the destination shard in source
 //     node-index order; deliveries, suspects and counter deltas are
 //     folded by the coordinator in shard order, which is node-index
-//     order — exactly the serial visitation order.
-//   - The one stage whose serial semantics are order-dependent — the
-//     crossbar, where a pop at node i frees a downstream credit a later
-//     node j can observe in the same cycle — runs in three rounds: a
-//     parallel scan against the cycle-start snapshot that commits every
-//     port whose outcome cannot depend on same-cycle pops, a serial
-//     referee in node-index order that re-arbitrates only the ports
-//     blocked on a full buffer at an earlier node (the only pops serial
-//     order makes visible), and a parallel apply of the committed
-//     moves, each at its owning shard.
+//     order.
+//   - The one stage whose semantics are order-dependent — the crossbar,
+//     where a pop at node i frees a downstream credit a later node j can
+//     observe in the same cycle — runs in three rounds on a concurrent
+//     cycle: a parallel scan against the cycle-start snapshot that
+//     commits every port whose outcome cannot depend on same-cycle pops,
+//     a referee on the coordinator in node-index order that
+//     re-arbitrates only the ports blocked on a full buffer at an
+//     earlier node (the only pops node order makes visible), and a
+//     parallel apply of the committed moves, each at its owning shard.
+//     An inline scan applies each move in place instead: it visits
+//     nodes in order, so live credit is exact and nothing is left for
+//     the referee.
 //
 // Scheduling therefore cannot influence results: every cross-shard
 // interaction is either commutative (summary bits, counter deltas) or
@@ -47,23 +54,23 @@ import (
 //
 //   - Every round is dispatched through a per-shard mask (shardActive)
 //     derived from the activeWords summary bitsets or the per-shard
-//     scratch lists; a shard with no relevant work is never woken.
+//     scratch lists; a shard with no relevant work is never visited.
 //   - The own-nodes-only rounds are fused. Link traversals that stay
 //     inside the source shard are pushed directly during phLinkLocal
 //     (each buffer has exactly one upstream latch, so it receives at
 //     most one handoff per cycle and the push order cannot matter);
 //     the merge round only runs when a handoff actually crossed a shard
-//     boundary. In Recovery mode routing and injection share one
-//     phRouteInject round (routing never changes a packet's mode
-//     there), and detection follows in its own phDetect round, reading
-//     the progress tables after the barrier exactly as the serial scan
-//     does. Avoidance mode keeps phRoute and phInject separate:
-//     routeHeader may demote a packet to the escape lane (a mode write
-//     to its slot record) while another shard's injection reads the
-//     mode of the same packet.
-//   - The coordinator picks serial vs sharded execution per cycle from
-//     the active-lane count with hysteresis (Config.Dispatch); both
-//     paths are byte-identical, so the decision is scheduling-only.
+//     boundary. On concurrent Recovery-mode cycles routing and
+//     injection share one phRouteInject round (routing never changes a
+//     packet's mode there); inline cycles keep them apart so trace
+//     events stay in stage order. Detection follows in its own phDetect
+//     round, reading the progress tables after the barrier. Avoidance
+//     mode keeps phRoute and phInject separate: routeHeader may demote a
+//     packet to the escape lane (a mode write to its slot record) while
+//     another shard's injection reads the mode of the same packet.
+//   - The coordinator picks inline vs concurrent execution per cycle
+//     from the active-lane count with hysteresis (Config.Dispatch); the
+//     decision is scheduling-only.
 
 // phaseID names one parallel round.
 type phaseID uint8
@@ -90,7 +97,7 @@ type handoff struct {
 // xbCand is a physical output port the scan left to the referee: a lane
 // ahead of any snapshot winner is blocked on a full buffer at an
 // earlier node, which a same-cycle pop there could free before this
-// port's serial turn.
+// port's turn in node order.
 type xbCand struct {
 	ni int32
 	p  int16
@@ -132,29 +139,21 @@ type workerPool struct {
 
 // initShards fixes the node partition at construction time. The span is
 // rounded up to a multiple of 64 nodes so no two shards touch the same
-// active-bitset word; networks smaller than two spans step serially.
+// active-bitset word; with one worker, or a network smaller than two
+// spans, the single shard's span is the node count rounded up to 64.
 //
 // All per-shard scratch is pre-sized to its structural per-cycle bound
-// here, so sharded stepping never grows a slice mid-run: a high-water
-// mark that creeps up logarithmically under random traffic otherwise
-// shows up as a few bytes/op that no warmup length can amortize away
-// (a 7 B/op residue once measured on the sharded 4096-node torus at low
-// load, now gated by TestFabricStepZeroSteadyStateAllocs).
+// here, so stepping never grows a slice mid-run: a high-water mark that
+// creeps up logarithmically under random traffic otherwise shows up as
+// a few bytes/op that no warmup length can amortize away (a 7 B/op
+// residue once measured on the sharded 4096-node torus at low load, now
+// gated by TestFabricStepZeroSteadyStateAllocs).
 func (f *Fabric) initShards() {
-	w := f.cfg.Workers
 	nodes := len(f.nodes)
-	if w <= 1 {
-		return
-	}
-	if w > nodes {
-		w = nodes
-	}
+	w := min(max(f.cfg.Workers, 1), nodes)
 	span := (nodes + w - 1) / w
 	span = (span + 63) &^ 63
 	ns := (nodes + span - 1) / span
-	if ns <= 1 {
-		return
-	}
 	f.shardSpan = span
 	f.shards = make([]shard, ns)
 	phys := f.topo.PhysPorts()
@@ -205,24 +204,18 @@ func (f *Fabric) initShards() {
 	}
 	f.shardActive = make([]bool, ns)
 	f.popped = make([]uint64, (len(f.bufs)+63)>>6)
-	f.adaptHi = f.cfg.AdaptHigh
-	if f.adaptHi == 0 {
-		f.adaptHi = 64 * ns
-	}
-	f.adaptLo = f.cfg.AdaptLow
-	if f.adaptLo == 0 {
-		f.adaptLo = f.adaptHi / 2
-	}
+	f.adaptHi = 64 * ns
+	f.adaptLo = f.adaptHi / 2
 }
 
 // dispatchSharded is the per-cycle scheduling decision for a fabric
-// with shards: whether the coming cycle runs the parallel rounds or the
-// serial stages. Both paths produce byte-identical results, so this is
-// pure scheduling. The adaptive policy flips to sharded once the active
-// lane population crosses adaptHi and back to serial below adaptLo —
-// hysteresis keeps a load hovering near one threshold from thrashing —
-// and never shards on a single-CPU host, where barrier rounds are pure
-// coordination overhead.
+// with several shards: whether the coming cycle runs its rounds
+// concurrently or inline. Both produce byte-identical results, so this
+// is pure scheduling. The adaptive policy flips to concurrent once the
+// active lane population crosses adaptHi and back to inline below
+// adaptLo — hysteresis keeps a load hovering near one threshold from
+// thrashing — and never goes concurrent on a single-CPU host, where
+// barrier rounds are pure coordination overhead.
 //
 //stcc:hotpath
 func (f *Fabric) dispatchSharded() bool {
@@ -249,14 +242,8 @@ func (f *Fabric) dispatchSharded() bool {
 	return f.useSharded
 }
 
-// shardOf returns the shard owning node ni.
-//
-//stcc:hotpath
-func (f *Fabric) shardOf(ni int) int { return ni / f.shardSpan }
-
 // startWorkers launches the persistent pool (lazily, on the first
-// sharded Step, so fabrics that are built but never stepped cost no
-// goroutines).
+// concurrent cycle, so fabrics that never run one cost no goroutines).
 func (f *Fabric) startWorkers() {
 	wp := &workerPool{phase: make([]chan phaseID, len(f.shards)-1)}
 	for i := range wp.phase {
@@ -353,12 +340,22 @@ func (f *Fabric) markMoves() {
 	}
 }
 
-// runPhaseMasked executes one round on the shards marked active and
-// waits for the barrier. Idle shards stay parked: their relevant bitset
-// words (or scratch lists) are empty, so the round would visit nothing.
+// runPhaseMasked executes one round on the shards marked active: on an
+// inline cycle one after another on the coordinator, otherwise on the
+// workers, waiting for the barrier. Idle shards are skipped: their
+// relevant bitset words (or scratch lists) are empty, so the round
+// would visit nothing.
 //
 //stcc:hotpath
 func (f *Fabric) runPhaseMasked(ph phaseID) {
+	if f.inline {
+		for si := range f.shards {
+			if f.shardActive[si] {
+				f.runShardPhase(ph, si)
+			}
+		}
+		return
+	}
 	wp := f.workers
 	n := 0
 	for si := 1; si < len(f.shards); si++ {
@@ -404,63 +401,6 @@ func (f *Fabric) runShardPhase(ph phaseID, si int) {
 	case phDetect:
 		f.detectShard(sh)
 	}
-}
-
-// stepSharded is Step's parallel form: the same stage order, each stage
-// expanded into its rounds. Recovery, merges, the crossbar referee and
-// the suspect queue stay on the coordinator. A stage's rounds only go
-// to shards with relevant work (the mark*/runPhaseMasked pair), and a
-// saturated Recovery-mode cycle costs five barriers (link, scan, apply,
-// route/inject, detect) plus an occasional merge when a flit crosses a
-// shard boundary.
-//
-//stcc:hotpath
-func (f *Fabric) stepSharded() {
-	if f.workers == nil {
-		f.startWorkers()
-	}
-	f.recoveryStep()
-	if f.net.latched > 0 {
-		f.markActive(&f.actLatched)
-		f.runPhaseMasked(phLinkLocal)
-		if f.markMailboxes() {
-			f.runPhaseMasked(phLinkMerge)
-		}
-		f.mergeLink()
-	}
-	if f.net.ownedOuts > 0 {
-		f.markActive(&f.actOwned)
-		f.runPhaseMasked(phXbarScan)
-		f.refereeXbar()
-		f.markMoves()
-		f.runPhaseMasked(phXbarApply)
-		f.foldDeltas()
-	}
-	if f.cfg.Mode == Recovery {
-		if f.net.pendingIns > 0 || f.net.srcActive > 0 {
-			f.markActiveUnion(&f.actPending, &f.actSrc)
-			f.runPhaseMasked(phRouteInject)
-			f.foldDeltas()
-		}
-		if f.net.occupiedIns > 0 {
-			f.markActive(&f.actOccupied)
-			f.runPhaseMasked(phDetect)
-			f.mergeSuspects()
-		}
-		f.serviceSuspects()
-	} else {
-		if f.net.pendingIns > 0 {
-			f.markActive(&f.actPending)
-			f.runPhaseMasked(phRoute)
-			f.foldDeltas()
-		}
-		if f.net.srcActive > 0 {
-			f.markActive(&f.actSrc)
-			f.runPhaseMasked(phInject)
-			f.foldDeltas()
-		}
-	}
-	f.now++
 }
 
 // foldDeltas folds every shard's counter delta into the fabric-wide
@@ -534,9 +474,9 @@ func (f *Fabric) linkLocalShard(sh *shard, si int) {
 }
 
 // linkMergeShard pushes every handoff addressed to shard d into its
-// destination buffer, visiting source shards in index order — the serial
-// push order. Each buffer has exactly one upstream latch, so it receives
-// at most one handoff per cycle.
+// destination buffer, visiting source shards in index order. Each
+// buffer has exactly one upstream latch, so it receives at most one
+// handoff per cycle.
 //
 //stcc:shardstage
 //stcc:hotpath
@@ -559,7 +499,7 @@ func (f *Fabric) linkMergeShard(d int) {
 }
 
 // mergeLink folds the link rounds' deltas and finalizes deliveries in
-// shard (= node) order, matching the serial callback and stats order.
+// shard (= node) order, so callbacks and stats see node order.
 //
 //stcc:serialonly
 //stcc:hotpath
@@ -578,10 +518,11 @@ func (f *Fabric) mergeLink() {
 	}
 }
 
-// xbarScanShard runs switch allocation for the shard's own nodes
-// against the cycle-start snapshot, committing every port whose outcome
-// is already final and queueing the rest for the referee, in node
-// order.
+// xbarScanShard runs switch allocation for the shard's own nodes in node
+// order: on a concurrent cycle against the cycle-start snapshot,
+// committing every port whose outcome is already final and queueing the
+// rest for the referee; on an inline cycle against live state, applying
+// each winning move in place.
 //
 //stcc:shardstage
 //stcc:hotpath
@@ -603,15 +544,20 @@ func (f *Fabric) xbarScanShard(sh *shard) {
 	}
 }
 
-// xbarScanPort arbitrates one output port against the snapshot: the
-// round-robin scan the serial crossbar runs. Frozen and empty lanes are
-// stable for the whole stage, and credit only grows as pops free it, so
-// the snapshot's winner would win serially too — unless a lane ahead of
-// it is blocked on a full downstream buffer that a pop earlier in serial
-// order could free. Serial order is node order and a port's lanes all
-// feed one downstream node, so that can happen only when the downstream
-// node precedes ni; such a port goes to the referee and everything else
-// commits here.
+// xbarScanPort arbitrates one output port: round-robin from swPtr over
+// the port's output VCs, the first candidate with a buffered flit and a
+// downstream credit wins. One flit per physical port per cycle; each
+// delivery (consumption) channel drains independently.
+//
+// An inline scan visits ports in node order and pops in place, so the
+// credit it reads is exactly what earlier nodes left. A concurrent scan
+// reads the snapshot instead. Frozen and empty lanes are stable for the
+// whole stage, and credit only grows as pops free it, so the snapshot's
+// winner wins in node order too — unless a lane ahead of it is blocked
+// on a full downstream buffer that a pop at an earlier node could free.
+// A port's lanes all feed one downstream node, so that can happen only
+// when the downstream node precedes ni; such a port goes to the referee
+// and everything else commits here.
 //
 //stcc:hotpath
 func (f *Fabric) xbarScanPort(ni, p, base, nvc int, sh *shard) {
@@ -619,6 +565,7 @@ func (f *Fabric) xbarScanPort(ni, p, base, nvc int, sh *shard) {
 	outs := f.outsA[ni*f.lanesOut+base : ni*f.lanesOut+base+nvc]
 	start := f.nodes[ni].swPtr[p]
 	dlv := p == f.dlvPort
+	inline := f.inline
 	for i := 0; i < nvc; i++ {
 		vi := start + i
 		if vi >= nvc {
@@ -637,15 +584,20 @@ func (f *Fabric) xbarScanPort(ni, p, base, nvc int, sh *shard) {
 		if !dlv {
 			tg := f.dstGid[ni*f.lanesOut+base+vi]
 			if f.occ[tg] == f.depth {
-				if f.precedes(tg, ni) {
+				if !inline && f.precedes(tg, ni) {
 					// A same-cycle pop at the earlier node could free this.
 					sh.cands = append(sh.cands, xbCand{ni: int32(ni), p: int16(p)})
 					return
 				}
-				continue // a pop at a later node comes after this port's turn
+				continue // no credit by this port's turn
 			}
 		}
-		f.commitMove(sh, o, ni, p, vi)
+		if inline {
+			//stcc:shardguard inline cycles run every round on the coordinator, so no other shard reads this buffer's occupancy while the scan pops it; a concurrent scan must commit the move instead
+			f.applyMove(&sh.ctx, o, ni, p, vi)
+		} else {
+			f.commitMove(sh, o, ni, p, vi)
+		}
 		if !dlv {
 			return // one flit per physical port per cycle
 		}
@@ -653,7 +605,7 @@ func (f *Fabric) xbarScanPort(ni, p, base, nvc int, sh *shard) {
 }
 
 // precedes reports whether input lane g belongs to a node before ni in
-// node order, the serial crossbar's visiting order.
+// node order, the crossbar's visiting order.
 //
 //stcc:hotpath
 func (f *Fabric) precedes(g int32, ni int) bool { return int(g) < ni*f.lanesIn }
@@ -671,10 +623,11 @@ func (f *Fabric) commitMove(sh *shard, o *outVC, ni, p, vi int) {
 	sh.moves = append(sh.moves, xbMove{o: o, ni: int32(ni), p: int16(p), vi: int16(vi)})
 }
 
-// refereeXbar is the serial round: it re-arbitrates the ports the scan
-// left open in node-index order, against live credit — the snapshot
-// occupancy minus the pops committed at earlier nodes, exactly the state
-// the serial crossbar would see at that node's turn.
+// refereeXbar is the coordinator's round on a concurrent cycle: it
+// re-arbitrates the ports the scan left open in node-index order,
+// against live credit — the snapshot occupancy minus the pops committed
+// at earlier nodes, exactly the state an inline scan sees at that
+// node's turn.
 //
 //stcc:serialonly
 //stcc:hotpath
@@ -691,7 +644,7 @@ func (f *Fabric) refereeXbar() {
 // refereePort re-runs one physical port's round-robin scan with live
 // credit visibility. A popped downstream buffer counts only when its
 // node precedes ni: pops at later nodes (committed by their own scan)
-// happen after this port's turn in serial order. The scan sends only
+// happen after this port's turn in node order. The scan sends only
 // ports whose downstream node precedes ni, so the test holds for every
 // port it is given; it keeps the rule correct on its own.
 //
@@ -730,39 +683,46 @@ func (f *Fabric) refereePort(sh *shard, ni, p int) {
 	}
 }
 
-// xbarApplyShard applies the shard's committed moves: pop, progress,
-// latch, and the round-robin pointer update — all state owned by the
-// shard's nodes — and clears each move's popped bit, leaving the bitset
-// zero for the next cycle.
+// xbarApplyShard applies the shard's committed moves and clears each
+// move's popped bit, leaving the bitset zero for the next cycle.
 //
 //stcc:shardstage
 //stcc:hotpath
 func (f *Fabric) xbarApplyShard(sh *shard) {
-	now := f.now
 	for i := range sh.moves {
 		mv := &sh.moves[i]
 		g := mv.o.ownerGid
 		//stcc:shardguard the owner buffer is at this shard's node; its popped word is this shard's own (64-node aligned spans)
 		f.popped[g>>6] &^= 1 << uint(g&63)
-		b := &f.bufs[g]
-		fl := b.pop(sh.ctx.nc)
-		if fl.slot != mv.o.ownerSlot {
-			panic(fmt.Sprintf("router: %v front flit of slot %d, owner slot %d", b, fl.slot, mv.o.ownerSlot))
-		}
-		f.stamp(&sh.ctx, fl.slot, now)
-		if f.isTail(fl) {
-			b.clearBinding(sh.ctx.nc)
-		}
-		mv.o.lat.set(fl, sh.ctx.nc)
-		if p := int(mv.p); p != f.dlvPort {
-			nd := &f.nodes[mv.ni]
-			if nd.swPtr[p] = int(mv.vi) + 1; nd.swPtr[p] == f.outPortWidth[p] {
-				nd.swPtr[p] = 0
-			}
-		}
+		f.applyMove(&sh.ctx, mv.o, int(mv.ni), int(mv.p), int(mv.vi))
 		sh.moves[i] = xbMove{}
 	}
 	sh.moves = sh.moves[:0]
+}
+
+// applyMove moves the front flit of o's owner buffer through the
+// crossbar into o's latch (output lane vi of port p at node ni): pop,
+// progress, latch, and the round-robin pointer update — all state owned
+// by ni's shard.
+//
+//stcc:hotpath
+func (f *Fabric) applyMove(ctx *stepCtx, o *outVC, ni, p, vi int) {
+	b := &f.bufs[o.ownerGid]
+	fl := b.pop(ctx.nc)
+	if fl.slot != o.ownerSlot {
+		panic(fmt.Sprintf("router: %v front flit of slot %d, owner slot %d", b, fl.slot, o.ownerSlot))
+	}
+	f.stamp(ctx, fl.slot, f.now)
+	if f.isTail(fl) {
+		b.clearBinding(ctx.nc)
+	}
+	o.lat.set(fl, ctx.nc)
+	if p != f.dlvPort {
+		nd := &f.nodes[ni]
+		if nd.swPtr[p] = vi + 1; nd.swPtr[p] == f.outPortWidth[p] {
+			nd.swPtr[p] = 0
+		}
+	}
 }
 
 // routeShard runs the central arbiter for the shard's own nodes. Route
@@ -798,13 +758,12 @@ func (f *Fabric) injectShard(sh *shard) {
 }
 
 // detectShard scans the shard's own nodes for deadlock timeouts, in its
-// own round after routing and injection, so it reads the progress
-// tables in the state the serial scan sees. Fresh suspects collect per
-// shard and are concatenated — and only then frozen — in shard order,
-// the serial append order. Deferring the mode write to the coordinator
-// changes nothing: a packet's head flit fronts exactly one lane
-// network-wide, so no other detect decision this cycle could have
-// observed the earlier write.
+// own round after routing and injection, so it reads every progress
+// stamp of the cycle. Fresh suspects collect per shard and are
+// concatenated — and only then frozen — in shard order, which is node
+// order. Deferring the mode write to the coordinator changes nothing: a
+// packet's head flit fronts exactly one lane network-wide, so no other
+// detect decision this cycle could have observed the earlier write.
 //
 //stcc:shardstage
 //stcc:hotpath
@@ -820,8 +779,8 @@ func (f *Fabric) detectShard(sh *shard) {
 }
 
 // mergeSuspects freezes the shards' fresh suspects and concatenates
-// them onto the token queue in shard order (the serial append order),
-// then clears the per-shard lists.
+// them onto the token queue in shard (= node) order, then clears the
+// per-shard lists.
 //
 //stcc:serialonly
 //stcc:hotpath

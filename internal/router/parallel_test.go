@@ -1,7 +1,9 @@
 package router
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/packet"
@@ -11,10 +13,10 @@ import (
 
 // twinConfig is a 16-ary 2-cube: 256 nodes, which splits into four
 // 64-node shards at Workers=8 (the per-shard span is 64-aligned, so the
-// 64-node test topologies collapse to one shard and never exercise the
-// parallel path). BufDepth 4 saturates quickly. Dispatch is pinned to
-// DispatchSharded so the twins exercise the parallel path even on a
-// single-CPU runner, where adaptive dispatch would always pick serial.
+// 64-node test topologies collapse to one shard). BufDepth 4 saturates
+// quickly. Dispatch is pinned to DispatchSharded so the twins exercise
+// concurrent rounds even on a single-CPU runner, where adaptive dispatch
+// would always run them inline.
 func twinConfig(mode DeadlockMode, workers int) Config {
 	return Config{
 		Topo:            topology.MustNew(16, 2),
@@ -27,107 +29,145 @@ func twinConfig(mode DeadlockMode, workers int) Config {
 	}
 }
 
-// TestShardedStepMatchesSerial steps a sharded fabric and a serial twin
-// through an identical saturating injection sequence and requires them
-// to agree cycle for cycle: same delivery sequence, same counters, same
-// full-buffer census, and both passing the full invariant recount. The
-// load is heavy enough to drive deadlock detection, token recovery and
-// re-arming in Recovery mode, which are the trickiest cross-shard
-// transitions. Run with -race, this is also the memory-model check for
-// the barrier and merge paths.
+// newTwins builds the fabrics stepTwins compares: a one-shard reference
+// (cfg at Workers 0) and cfg's N-shard partition twice, under cfg's own
+// dispatch and under DispatchSerial, whose rounds run inline through
+// the mailbox and merge path. closeTwins stops them.
+func newTwins(cfg Config) []*Fabric {
+	ref, inline := cfg, cfg
+	ref.Workers = 0
+	inline.Dispatch = DispatchSerial
+	return []*Fabric{MustNew(ref), MustNew(cfg), MustNew(inline)}
+}
+
+func closeTwins(fabs []*Fabric) {
+	for _, f := range fabs {
+		f.Close()
+	}
+}
+
+// TestShardedStepMatchesSerial steps a sharded fabric, its inline twin
+// and a one-shard reference through an identical saturating injection
+// sequence and requires them to agree cycle for cycle: same delivery
+// sequence, same counters, same full-buffer census, and all passing the
+// full invariant recount. The load is heavy enough to drive deadlock
+// detection, token recovery and re-arming in Recovery mode, which are
+// the trickiest cross-shard transitions. Run with -race, this is also
+// the memory-model check for the barrier and merge paths.
 func TestShardedStepMatchesSerial(t *testing.T) {
 	for _, mode := range []DeadlockMode{Avoidance, Recovery} {
 		t.Run(mode.String(), func(t *testing.T) {
-			serial := MustNew(twinConfig(mode, 0))
-			sharded := MustNew(twinConfig(mode, 8))
-			defer sharded.Close()
-			if got := len(sharded.shards); got != 4 {
-				t.Fatalf("sharded twin has %d shards, want 4", got)
-			}
-			if len(serial.shards) != 0 {
-				t.Fatalf("serial twin unexpectedly sharded")
+			fabs := newTwins(twinConfig(mode, 8))
+			defer closeTwins(fabs)
+			for i, want := range []int{1, 4, 4} {
+				if got := len(fabs[i].shards); got != want {
+					t.Fatalf("twin %d has %d shards, want %d", i, got, want)
+				}
 			}
 			cycles := 1200
 			if testing.Short() {
 				cycles = 300
 			}
-			stepTwins(t, serial, sharded, 11, 0.08, 8, cycles, 50)
-			if mode == Recovery && serial.Recoveries() == 0 {
+			stepTwins(t, fabs, false, 11, 0.08, 8, cycles, 50)
+			if mode == Recovery && fabs[0].Recoveries() == 0 {
 				t.Error("load never triggered a recovery; the test is not exercising the recovery merge path")
 			}
 		})
 	}
 }
 
-// stepTwins drives a serial fabric and a sharded twin through one random
-// injection sequence (each node starts a packet of length plen toward a
-// random destination with probability rate per cycle, when its source
-// is free) and requires them to agree after every cycle: delivery
-// order, active-set counters, delivered flits, recoveries and suspects.
-// Both must pass CheckInvariants every checkEvery cycles and at the end.
-func stepTwins(t *testing.T, serial, sharded *Fabric, seed int64, rate float64, plen, cycles, checkEvery int) {
-	t.Helper()
-	var serSeq, shSeq []packet.ID
-	serial.OnDelivered = func(p *packet.Packet) { serSeq = append(serSeq, p.ID) }
-	sharded.OnDelivered = func(p *packet.Packet) { shSeq = append(shSeq, p.ID) }
+// twinLog is what stepTwins records from one fabric in one cycle.
+type twinLog struct {
+	delivered []packet.ID
+	events    []trace.Event
+}
 
+// stepTwins drives fabs through one random injection sequence (each node
+// starts a packet of length plen toward a random destination with
+// probability rate per cycle, when its source is free) and requires
+// every fabric to agree with fabs[0] after every cycle: delivery order,
+// active-set counters, delivered flits, recoveries and suspects, and,
+// when traced, the trace event sequence. All must pass CheckInvariants
+// every checkEvery cycles and at the end.
+func stepTwins(t *testing.T, fabs []*Fabric, traced bool, seed int64, rate float64, plen, cycles, checkEvery int) {
+	t.Helper()
+	logs := make([]twinLog, len(fabs))
+	for i, f := range fabs {
+		lg := &logs[i]
+		f.OnDelivered = func(p *packet.Packet) { lg.delivered = append(lg.delivered, p.ID) }
+		if traced {
+			f.OnEvent = func(e trace.Event) { lg.events = append(lg.events, e) }
+		}
+	}
+	name := func(f *Fabric) string {
+		return fmt.Sprintf("%d-shard %v fabric", len(f.shards), f.cfg.Dispatch)
+	}
+	ref := fabs[0]
 	rng := rand.New(rand.NewSource(seed))
-	nodes := serial.topo.Nodes()
+	nodes := ref.topo.Nodes()
 	var id packet.ID
 	for cyc := 0; cyc < cycles; cyc++ {
 		for n := 0; n < nodes; n++ {
 			if rng.Float64() >= rate {
 				continue
 			}
-			dst := topology.NodeID(rng.Intn(nodes))
-			if dst == topology.NodeID(n) {
+			src, dst := topology.NodeID(n), topology.NodeID(rng.Intn(nodes))
+			if dst == src {
 				continue
 			}
-			canSer := serial.CanStartInjection(topology.NodeID(n))
-			if canShard := sharded.CanStartInjection(topology.NodeID(n)); canSer != canShard {
-				t.Fatalf("cycle %d node %d: CanStartInjection serial=%v sharded=%v",
-					cyc, n, canSer, canShard)
+			can := ref.CanStartInjection(src)
+			for _, f := range fabs[1:] {
+				if f.CanStartInjection(src) != can {
+					t.Fatalf("cycle %d node %d: CanStartInjection %v on the reference, %v on the %s",
+						cyc, n, can, !can, name(f))
+				}
 			}
-			if !canSer {
+			if !can {
 				continue
 			}
-			serial.StartInjection(packet.New(id, topology.NodeID(n), dst, plen, serial.Now()))
-			sharded.StartInjection(packet.New(id, topology.NodeID(n), dst, plen, sharded.Now()))
+			for _, f := range fabs {
+				f.StartInjection(packet.New(id, src, dst, plen, f.Now()))
+			}
 			id++
 		}
-		serial.Step()
-		sharded.Step()
-
-		if len(serSeq) != len(shSeq) {
-			t.Fatalf("cycle %d: %d serial deliveries, %d sharded", cyc, len(serSeq), len(shSeq))
+		for _, f := range fabs {
+			f.Step()
 		}
-		for i := range serSeq {
-			if serSeq[i] != shSeq[i] {
-				t.Fatalf("cycle %d: delivery %d is packet %d serial, %d sharded",
-					cyc, i, serSeq[i], shSeq[i])
+
+		for i, f := range fabs[1:] {
+			want, got := &logs[0], &logs[i+1]
+			if !slices.Equal(want.delivered, got.delivered) {
+				t.Fatalf("cycle %d: deliveries %v on the reference, %v on the %s", cyc, want.delivered, got.delivered, name(f))
+			}
+			if !slices.Equal(want.events, got.events) {
+				k := 0
+				for k < min(len(want.events), len(got.events)) && want.events[k] == got.events[k] {
+					k++
+				}
+				t.Fatalf("cycle %d: %d trace events on the reference, %d on the %s; they differ from event %d on",
+					cyc, len(want.events), len(got.events), name(f), k)
+			}
+			if ref.net != f.net {
+				t.Fatalf("cycle %d: counters diverge: reference %+v, %s %+v", cyc, ref.net, name(f), f.net)
+			}
+			if a, b := ref.DeliveredFlits(), f.DeliveredFlits(); a != b {
+				t.Fatalf("cycle %d: delivered flits %d on the reference, %d on the %s", cyc, a, b, name(f))
+			}
+			if a, b := ref.Recoveries(), f.Recoveries(); a != b {
+				t.Fatalf("cycle %d: recoveries %d on the reference, %d on the %s", cyc, a, b, name(f))
+			}
+			if a, b := ref.SuspectedPackets(), f.SuspectedPackets(); a != b {
+				t.Fatalf("cycle %d: suspects %d on the reference, %d on the %s", cyc, a, b, name(f))
 			}
 		}
-		serSeq, shSeq = serSeq[:0], shSeq[:0]
-
-		if serial.net != sharded.net {
-			t.Fatalf("cycle %d: counters diverge: serial %+v, sharded %+v",
-				cyc, serial.net, sharded.net)
-		}
-		if a, b := serial.DeliveredFlits(), sharded.DeliveredFlits(); a != b {
-			t.Fatalf("cycle %d: delivered flits %d serial, %d sharded", cyc, a, b)
-		}
-		if a, b := serial.Recoveries(), sharded.Recoveries(); a != b {
-			t.Fatalf("cycle %d: recoveries %d serial, %d sharded", cyc, a, b)
-		}
-		if a, b := serial.SuspectedPackets(), sharded.SuspectedPackets(); a != b {
-			t.Fatalf("cycle %d: suspects %d serial, %d sharded", cyc, a, b)
+		for i := range logs {
+			logs[i].delivered, logs[i].events = logs[i].delivered[:0], logs[i].events[:0]
 		}
 		if cyc%checkEvery == 0 || cyc == cycles-1 {
-			if err := sharded.CheckInvariants(); err != nil {
-				t.Fatalf("sharded invariants at cycle %d: %v", cyc, err)
-			}
-			if err := serial.CheckInvariants(); err != nil {
-				t.Fatalf("serial invariants at cycle %d: %v", cyc, err)
+			for _, f := range fabs {
+				if err := f.CheckInvariants(); err != nil {
+					t.Fatalf("%s invariants at cycle %d: %v", name(f), cyc, err)
+				}
 			}
 		}
 	}
@@ -150,12 +190,12 @@ func FuzzShardedMatchesSerial(f *testing.F) {
 		if recovery {
 			mode = Recovery
 		}
-		serCfg, shCfg := twinConfig(mode, 0), twinConfig(mode, 2+int(workers)%7)
-		serCfg.DeadlockTimeout, shCfg.DeadlockTimeout = 24, 24
-		serial, sharded := MustNew(serCfg), MustNew(shCfg)
-		defer sharded.Close()
+		cfg := twinConfig(mode, 2+int(workers)%7)
+		cfg.DeadlockTimeout = 24
+		fabs := newTwins(cfg)
+		defer closeTwins(fabs)
 		rate := float64(load%128) / 256 // up to one start per node every two cycles
-		stepTwins(t, serial, sharded, seed, rate, 1+int(length)%16, 200, 50)
+		stepTwins(t, fabs, false, seed, rate, 1+int(length)%16, 200, 50)
 	})
 }
 
@@ -175,8 +215,8 @@ func FuzzShardedMatchesSerial(f *testing.F) {
 //
 // Each full buffer drains into its node's delivery channel, which needs
 // no credit. The scan must hand the first port to the referee and
-// settle the second itself, and the sharded result must match a serial
-// twin lane for lane.
+// settle the second itself, and the sharded result must match a
+// one-shard twin lane for lane.
 func TestShardedRefereeOrder(t *testing.T) {
 	const early, late = 48, 64
 	build := func(workers int) (f *Fabric, toEarly, toLate int) {
@@ -279,25 +319,24 @@ func TestShardedRefereeOrder(t *testing.T) {
 
 // TestAdaptiveDispatchFlipsMidRun drives an adaptive-dispatch fabric
 // through a bursty ramp schedule — injection bursts that push the active
-// population over AdaptHigh, then idle stretches that drain it below
-// AdaptLow — and requires cycle-for-cycle agreement with a pure-serial
-// twin across the serial->sharded and sharded->serial hysteresis flips.
-// The fabric's maxProcs is pinned to 8 so the adaptive policy actually
-// shards on a single-CPU runner; the test fails if the schedule never
-// produced at least one flip in each direction, because then the
-// mid-run transition (the state handed from serial stages to the
-// barrier rounds and back) was not exercised at all.
+// population over adaptHi, then idle stretches that drain it below
+// adaptLo — and requires cycle-for-cycle agreement with a one-shard
+// twin across the inline->concurrent and concurrent->inline hysteresis
+// flips. The fabric's maxProcs is pinned to 8 so the adaptive policy
+// actually goes concurrent on a single-CPU runner; the test fails if the
+// schedule never produced at least one flip in each direction, because
+// then the mid-run transition (the state handed from inline rounds to
+// the barrier rounds and back) was not exercised at all.
 func TestAdaptiveDispatchFlipsMidRun(t *testing.T) {
 	for _, mode := range []DeadlockMode{Avoidance, Recovery} {
 		t.Run(mode.String(), func(t *testing.T) {
 			cfg := twinConfig(mode, 8)
 			cfg.Dispatch = DispatchAdaptive
-			cfg.AdaptHigh = 48
-			cfg.AdaptLow = 24
 			serial := MustNew(twinConfig(mode, 0))
 			adaptive := MustNew(cfg)
 			defer adaptive.Close()
 			adaptive.maxProcs = 8 // pretend multi-core; GOMAXPROCS may be 1 in CI
+			adaptive.adaptHi, adaptive.adaptLo = 48, 24
 
 			var serSeq, adSeq []packet.ID
 			serial.OnDelivered = func(p *packet.Packet) { serSeq = append(serSeq, p.ID) }
@@ -398,8 +437,9 @@ func TestShardedWorkerLifecycle(t *testing.T) {
 }
 
 // TestShardPartition pins the shard geometry: spans are 64-aligned so
-// no two shards share an active-bitset word, and networks that fit in
-// one span step serially.
+// no two shards share an active-bitset word, and one worker or a
+// network that fits in one span makes a single shard whose span is the
+// node count rounded up to 64.
 func TestShardPartition(t *testing.T) {
 	cases := []struct {
 		k, workers int
@@ -408,8 +448,10 @@ func TestShardPartition(t *testing.T) {
 	}{
 		{16, 8, 4, 64},  // 256 nodes: ceil(256/8)=32 -> span 64
 		{16, 2, 2, 128}, // 256 nodes: span 128
-		{16, 1, 0, 0},   // serial
-		{8, 8, 0, 0},    // 64 nodes round to one 64-node span: serial
+		{16, 1, 1, 256}, // one worker: one shard over every node
+		{16, 0, 1, 256}, // likewise
+		{8, 8, 1, 64},   // 64 nodes round to one 64-node span
+		{6, 4, 1, 64},   // 36 nodes: span rounds up past the node count
 		{16, 64, 4, 64}, // more workers than spans: clamp to 4 shards
 	}
 	for _, c := range cases {
@@ -419,28 +461,38 @@ func TestShardPartition(t *testing.T) {
 		}
 		f := MustNew(cfg)
 		if len(f.shards) != c.wantShards {
-			t.Errorf("k=%d workers=%d: %d shards, want %d", c.k, c.workers, len(f.shards), c.wantShards)
+			t.Fatalf("k=%d workers=%d: %d shards, want %d", c.k, c.workers, len(f.shards), c.wantShards)
 		}
-		if c.wantShards > 0 {
-			if f.shardSpan != c.wantSpan {
-				t.Errorf("k=%d workers=%d: span %d, want %d", c.k, c.workers, f.shardSpan, c.wantSpan)
-			}
-			last := f.shards[len(f.shards)-1]
-			if last.hi != c.k*c.k {
-				t.Errorf("k=%d workers=%d: last shard ends at %d, want %d", c.k, c.workers, last.hi, c.k*c.k)
-			}
+		if f.shardSpan != c.wantSpan {
+			t.Errorf("k=%d workers=%d: span %d, want %d", c.k, c.workers, f.shardSpan, c.wantSpan)
+		}
+		if first, last := f.shards[0], f.shards[len(f.shards)-1]; first.lo != 0 || last.hi != c.k*c.k {
+			t.Errorf("k=%d workers=%d: shards cover [%d, %d), want [0, %d)", c.k, c.workers, first.lo, last.hi, c.k*c.k)
 		}
 	}
 }
 
-// TestTracingForcesSerial pins the OnEvent contract: a fabric with an
-// event sink steps serially even when sharded, so trace event order
-// stays the serial interleaving.
-func TestTracingForcesSerial(t *testing.T) {
-	f := MustNew(twinConfig(Avoidance, 8))
-	f.OnEvent = func(e trace.Event) {}
-	f.Step()
-	if f.workers != nil {
-		t.Fatal("tracing fabric started shard workers")
+// TestTracedStepMatchesSerial pins the OnEvent contract: a traced
+// 4-shard fabric runs its rounds inline, never starts workers, and emits
+// the same trace events, cycle for cycle, as a traced one-shard fabric,
+// under saturating Recovery-mode load that drives recoveries.
+func TestTracedStepMatchesSerial(t *testing.T) {
+	fabs := newTwins(twinConfig(Recovery, 8))
+	defer closeTwins(fabs)
+	if got := len(fabs[1].shards); got != 4 {
+		t.Fatalf("traced twin has %d shards, want 4", got)
+	}
+	cycles := 1200
+	if testing.Short() {
+		cycles = 300
+	}
+	stepTwins(t, fabs, true, 11, 0.08, 8, cycles, 100)
+	if fabs[0].Recoveries() == 0 {
+		t.Error("load never triggered a recovery; the trace has no recovery events to order")
+	}
+	for _, f := range fabs {
+		if f.workers != nil {
+			t.Fatalf("traced %d-shard fabric started shard workers", len(f.shards))
+		}
 	}
 }

@@ -56,42 +56,22 @@ type recoveryState struct {
 	arrived int
 }
 
-// detectDeadlock marks packets blocked past the timeout as deadlock
-// suspects. A suspected packet is committed to recovery: it freezes in
-// place (its flits stop competing for normal channels) and queues for the
-// single recovery token — "a packet [must] obtain exclusive access to the
-// deadlock-free path". When the token is free the oldest suspect starts
-// draining. Past saturation most packets exceed the timeout, the token
-// queue grows, and frozen worms clog the network: this is the mechanism
-// behind the paper's throughput collapse in the recovery configuration.
-//
-//stcc:serialonly
-//stcc:hotpath
-func (f *Fabric) detectDeadlock() {
-	// An empty network (net.occupiedIns == 0) holds nothing blockable, but
-	// the suspect queue below must still be serviced: re-arm timers keep
-	// running for frozen packets whose flits sit outside input buffers.
-	if f.net.occupiedIns > 0 {
-		start := len(f.suspects)
-		for wi, w := range f.actOccupied.actWords {
-			for w != 0 {
-				ni := wi<<6 + bits.TrailingZeros64(w)
-				w &= w - 1
-				f.detectNode(ni, &f.suspects)
-			}
-		}
-		f.freezeSuspects(f.suspects[start:])
-	}
-	f.serviceSuspects()
-}
-
 // detectNode scans node ni's input lanes whose front flit is a header
-// and appends fresh timeouts to out (in lane order). It only reads: the
-// caller freezes the collected suspects afterwards (freezeSuspects), on
-// the coordinator and in serial order, so the same scan can run in a
-// parallel round that writes only its shard's suspect list. A packet's
-// head flit fronts exactly one lane network-wide, so deferring the
-// freeze cannot change any other detect decision within the cycle.
+// and appends the packets blocked past the timeout to out (in lane
+// order) as deadlock suspects. A suspected packet is committed to
+// recovery: it freezes in place (its flits stop competing for normal
+// channels) and queues for the single recovery token — "a packet [must]
+// obtain exclusive access to the deadlock-free path". When the token is
+// free the oldest suspect starts draining. Past saturation most packets
+// exceed the timeout, the token queue grows, and frozen worms clog the
+// network: this is the mechanism behind the paper's throughput collapse
+// in the recovery configuration.
+//
+// The scan only reads: the coordinator freezes the collected suspects
+// afterwards (freezeSuspects), in node order, so the scan can run in a
+// concurrent round that writes only its shard's suspect list. A
+// packet's head flit fronts exactly one lane network-wide, so deferring
+// the freeze cannot change any other detect decision within the cycle.
 //
 //stcc:hotpath
 func (f *Fabric) detectNode(ni int, out *[]suspect) {
@@ -113,8 +93,7 @@ func (f *Fabric) detectNode(ni int, out *[]suspect) {
 
 // freezeSuspects commits a batch of fresh suspects: each packet freezes
 // in place and the suspicion event is emitted, in the order the scan
-// found them — identical to the order the pre-deferral serial scan
-// wrote Mode and emitted inline.
+// found them.
 //
 //stcc:serialonly
 //stcc:hotpath
@@ -140,7 +119,7 @@ func (f *Fabric) serviceSuspects() {
 	for _, s := range f.suspects {
 		if now-s.at > f.tokenWait {
 			f.setMode(s.slot, packet.Adaptive)
-			f.stamp(&f.serial, s.slot, now)
+			f.stamp(&f.shards[0].ctx, s.slot, now)
 			continue
 		}
 		kept = append(kept, s)

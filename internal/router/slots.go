@@ -32,15 +32,15 @@ import (
 //     header reads it: the arbiter runs after a link round's barrier,
 //     and in recovery mode's route+inject round it runs before the same
 //     worker's injection pushes.
-//   - progs, one progress table per shard (a single table when the
-//     fabric is unsharded): the last cycle a flit of the packet
-//     advanced. Every flit move stamps the current cycle into its own
-//     shard's table (serial stages and the coordinator use table 0),
-//     so flits of one worm advancing at several shards in one round
-//     never write the same word. Stamps only ever store the current
-//     cycle, so the packet's last progress is the maximum over the
-//     tables (blockedFor). Detection reads them in its own round,
-//     after the barrier that ends the stamping rounds.
+//   - progs, one progress table per shard: the last cycle a flit of
+//     the packet advanced. Every flit move stamps the current cycle
+//     into its own shard's table (the coordinator's stamps go through
+//     shard 0's context into table 0), so flits of one worm advancing
+//     at several shards in one round never write the same word. Stamps
+//     only ever store the current cycle, so the packet's last progress
+//     is the maximum over the tables (blockedFor). Detection reads them
+//     in its own round, after the barrier that ends the stamping
+//     rounds.
 //   - slotPkt, the cold slot -> *packet.Packet map, read only where
 //     per-packet fields are needed: routing a header (destination),
 //     delivery, trails, marks and recovery.
@@ -65,15 +65,15 @@ func (f *Fabric) slotCapacity() int {
 	return len(f.outsA) + len(f.nodes) + 2
 }
 
-// initSlots allocates the slot tables, one progress table per shard (one
-// when the fabric is unsharded). Slot 0 is reserved (the zero flit and
-// a free output VC name it), so every table starts one entry long.
+// initSlots allocates the slot tables, one progress table per shard.
+// Slot 0 is reserved (the zero flit and a free output VC name it), so
+// every table starts one entry long.
 func (f *Fabric) initSlots() {
 	sc := f.slotCapacity()
 	f.slots = make([]slotRec, 1, sc)
 	f.slotPkt = make([]*packet.Packet, 1, sc)
 	f.headArr = make([]int64, 1, sc)
-	f.progs = make([][]int64, max(len(f.shards), 1))
+	f.progs = make([][]int64, len(f.shards))
 	for i := range f.progs {
 		f.progs[i] = make([]int64, 1, sc)
 	}
@@ -82,29 +82,29 @@ func (f *Fabric) initSlots() {
 
 // takeSlot assigns p a slot, seeding its record from the packet: the
 // progress stamp is the pre-injection one the caller set with
-// packet.Progress, kept in table 0 (the other tables hold zero).
+// packet.Progress, stamped through shard 0's context into table 0 (the
+// other tables hold zero).
 //
 //stcc:serialonly
 //stcc:hotpath
 func (f *Fabric) takeSlot(p *packet.Packet) int32 {
-	rec := slotRec{length: int32(p.Length), mode: p.Mode}
+	var s int32
 	if n := len(f.freeSlots); n > 0 {
-		s := f.freeSlots[n-1]
+		s = f.freeSlots[n-1]
 		f.freeSlots = f.freeSlots[:n-1]
-		f.slots[s] = rec
-		f.slotPkt[s] = p
-		f.headArr[s] = -1
-		f.progs[0][s] = p.LastProgress
-		return s
+	} else {
+		s = int32(len(f.slots))
+		f.slots = append(f.slots, slotRec{})
+		f.slotPkt = append(f.slotPkt, nil)
+		f.headArr = append(f.headArr, 0)
+		for i := range f.progs {
+			f.progs[i] = append(f.progs[i], 0)
+		}
 	}
-	s := int32(len(f.slots))
-	f.slots = append(f.slots, rec)
-	f.slotPkt = append(f.slotPkt, p)
-	f.headArr = append(f.headArr, -1)
-	f.progs[0] = append(f.progs[0], p.LastProgress)
-	for i := 1; i < len(f.progs); i++ {
-		f.progs[i] = append(f.progs[i], 0)
-	}
+	f.slots[s] = slotRec{length: int32(p.Length), mode: p.Mode}
+	f.slotPkt[s] = p
+	f.headArr[s] = -1
+	f.stamp(&f.shards[0].ctx, s, p.LastProgress)
 	return s
 }
 

@@ -9,175 +9,14 @@ import (
 	"repro/internal/trace"
 )
 
-// The per-cycle stages. Each outer loop walks the stage's node-level
-// active bitset with trailing-zero scans over a snapshot of each word
-// (a stage only ever clears its own bitset's bits, never sets them, so
-// a snapshot walk visits exactly the nodes that were active at stage
-// start — the serial semantics). Inside a node, the per-lane masks are
-// walked the same way, so cost scales with active lanes, not with
-// ports x VCs.
-
-// linkStage moves every latched flit across its link into the downstream
-// virtual-channel buffer (one cycle per flit per link), or consumes it at
-// the delivery channel. Space downstream is guaranteed: the crossbar only
-// latched the flit after checking occupancy, and each buffer has exactly
-// one upstream source.
-//
-//stcc:hotpath
-func (f *Fabric) linkStage() {
-	if f.net.latched == 0 {
-		return // no latched flit anywhere in the network
-	}
-	for wi, w := range f.actLatched.actWords {
-		for w != 0 {
-			ni := wi<<6 + bits.TrailingZeros64(w)
-			w &= w - 1
-			f.linkNode(ni, &f.serial)
-		}
-	}
-}
-
-// linkNode drains node ni's latches: delivery lanes consume at this
-// node, physical lanes hand off to the downstream neighbor.
-//
-//stcc:hotpath
-func (f *Fabric) linkNode(ni int, ctx *stepCtx) {
-	now := f.now
-	base := ni * f.lanesOut
-	for lm := f.latchMask[ni]; lm != 0; lm &= lm - 1 {
-		lane := bits.TrailingZeros64(lm)
-		o := &f.outsA[base+lane]
-		if f.frozen(o.lat.f.slot) {
-			continue
-		}
-		fl := o.lat.clear(ctx.nc)
-		f.stamp(ctx, fl.slot, now)
-		if int(o.lat.port) == f.dlvPort {
-			f.countDeliveredFlit()
-			f.slotPkt[fl.slot].Consumed++
-			if f.isTail(fl) {
-				o.release(ctx.nc)
-				f.deliver(fl.slot, now)
-			}
-			continue
-		}
-		tb := &f.bufs[f.dstGid[base+lane]]
-		if tb.full() {
-			panic(fmt.Sprintf("router: link overflow into %v at cycle %d", tb, now))
-		}
-		tb.push(fl, ctx.nc)
-		if f.isTail(fl) {
-			o.release(ctx.nc)
-		}
-	}
-}
-
-// crossbarStage performs switch allocation and crossbar traversal: per
-// output port, at most one flit moves from the front of an owning input
-// VC into the output latch (one cycle per flit through the crossbar).
-// Winners are chosen round-robin over the port's output VCs.
-//
-//stcc:hotpath
-func (f *Fabric) crossbarStage() {
-	if f.net.ownedOuts == 0 {
-		return // no packet owns an output VC anywhere
-	}
-	for wi, w := range f.actOwned.actWords {
-		for w != 0 {
-			ni := wi<<6 + bits.TrailingZeros64(w)
-			w &= w - 1
-			f.crossbarNode(ni)
-		}
-	}
-}
-
-// crossbarNode runs switch allocation at node ni: owned-but-unlatched
-// lanes are the candidates, visited port by port.
-//
-//stcc:hotpath
-func (f *Fabric) crossbarNode(ni int) {
-	cm := f.ownedMask[ni] &^ f.latchMask[ni]
-	nd := &f.nodes[ni]
-	for cm != 0 {
-		lane := bits.TrailingZeros64(cm)
-		p := int(f.laneOutPort[lane])
-		base, nvc := f.outPortBase[p], f.outPortWidth[p]
-		cm &^= ((uint64(1) << uint(nvc)) - 1) << uint(base)
-		f.crossbarPort(nd, ni, p, base, nvc, &f.serial)
-	}
-}
-
-// crossbarPort arbitrates one output port: round-robin from swPtr over
-// the port's output VCs, the first candidate with a buffered flit and a
-// downstream credit wins. One flit per physical port per cycle; each
-// delivery (consumption) channel drains independently.
-//
-//stcc:hotpath
-func (f *Fabric) crossbarPort(nd *node, ni, p, base, nvc int, ctx *stepCtx) {
-	now := f.now
-	pm := (f.ownedMask[ni] &^ f.latchMask[ni]) >> uint(base)
-	outs := f.outsA[ni*f.lanesOut+base : ni*f.lanesOut+base+nvc]
-	start := nd.swPtr[p]
-	dlv := p == f.dlvPort
-	for i := 0; i < nvc; i++ {
-		vi := start + i
-		if vi >= nvc {
-			vi -= nvc
-		}
-		if pm&(uint64(1)<<uint(vi)) == 0 {
-			continue
-		}
-		o := &outs[vi]
-		if f.frozen(o.ownerSlot) {
-			continue
-		}
-		if f.occ[o.ownerGid] == 0 {
-			continue // worm stretched thin: no flit buffered here yet
-		}
-		if !dlv {
-			tg := f.dstGid[ni*f.lanesOut+base+vi]
-			if f.occ[tg] == f.depth {
-				continue // no downstream credit
-			}
-		}
-		b := &f.bufs[o.ownerGid]
-		fl := b.pop(ctx.nc)
-		if fl.slot != o.ownerSlot {
-			panic(fmt.Sprintf("router: %v front flit of slot %d, owner slot %d", b, fl.slot, o.ownerSlot))
-		}
-		f.stamp(ctx, fl.slot, now)
-		if f.isTail(fl) {
-			b.clearBinding(ctx.nc)
-		}
-		o.lat.set(fl, ctx.nc)
-		if !dlv {
-			if nd.swPtr[p] = vi + 1; nd.swPtr[p] == nvc {
-				nd.swPtr[p] = 0
-			}
-			return
-		}
-	}
-}
-
-// routingStage runs each router's central arbiter: demand-slotted
-// round-robin over input VCs whose front flit is an unrouted header, at
-// most one routing decision per router per cycle (the paper's one-cycle
-// routing delay; body flits stream behind the header without consulting
-// the arbiter).
-//
-//stcc:hotpath
-func (f *Fabric) routingStage() {
-	if f.net.pendingIns == 0 {
-		return // no unrouted header anywhere
-	}
-	for wi, w := range f.actPending.actWords {
-		for w != 0 {
-			ni := wi<<6 + bits.TrailingZeros64(w)
-			w &= w - 1
-			f.arbitrate(&f.nodes[ni], &f.serial)
-		}
-	}
-}
+// The per-node stage work the shard rounds (parallel.go) call: the
+// central arbiter with route computation and output VC allocation, and
+// injection streaming. Each round's outer loop walks the stage's
+// node-level active bitset with trailing-zero scans over a snapshot of
+// each word (a stage only ever clears its own bitset's bits, never sets
+// them, so a snapshot walk visits exactly the nodes that were active at
+// stage start). Inside a node, the per-lane masks are walked the same
+// way, so cost scales with active lanes, not with ports x VCs.
 
 // inputVCAt returns node nd's input VC buffer at flattened lane idx
 // (physical ports * VCs, then the injection channel).
@@ -187,12 +26,17 @@ func (f *Fabric) inputVCAt(nd *node, idx int) *vcBuffer {
 	return &f.bufs[int(nd.id)*f.lanesIn+idx]
 }
 
+// arbitrate runs node nd's central arbiter: demand-slotted round-robin
+// over input VCs whose front flit is an unrouted header, at most one
+// routing decision per router per cycle (the paper's one-cycle routing
+// delay; body flits stream behind the header without consulting the
+// arbiter).
+//
 //stcc:hotpath
 func (f *Fabric) arbitrate(nd *node, ctx *stepCtx) {
 	ni := int(nd.id)
 	// Candidate lanes: occupied, unbound, head flit at the front. The
-	// frozen and arrival-cycle checks stay live per candidate, exactly
-	// like the serial scan's continue conditions.
+	// frozen and arrival-cycle checks stay live per candidate.
 	cm := (f.occMask[ni] &^ f.boundMask[ni]) & f.headMask[ni]
 	if cm == 0 {
 		return // no input VC holds an unrouted header
@@ -362,23 +206,6 @@ func (f *Fabric) allocate(nd *node, b *vcBuffer, s int32, port, vc int, ctx *ste
 	pkt.Hops++
 	f.stamp(ctx, s, f.now)
 	f.emit(trace.Routed, pkt, nd.id)
-}
-
-// injectionStage streams the current packet of each node's source slot
-// into the injection channel at one flit per cycle.
-//
-//stcc:hotpath
-func (f *Fabric) injectionStage() {
-	if f.net.srcActive == 0 {
-		return // no source is streaming a packet
-	}
-	for wi, w := range f.actSrc.actWords {
-		for w != 0 {
-			ni := wi<<6 + bits.TrailingZeros64(w)
-			w &= w - 1
-			f.injectNode(ni, &f.serial)
-		}
-	}
 }
 
 // injectNode streams one flit of node ni's current source packet.

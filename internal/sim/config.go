@@ -189,15 +189,16 @@ type Config struct {
 	Scheme Scheme
 
 	// ShardWorkers is the number of worker shards the router's cycle
-	// loop is partitioned into (0 or 1 = serial stepping). Sharded
-	// stepping is byte-identical to serial — the knob trades CPUs for
-	// wall time, never results — so it is excluded from Fingerprint and
-	// two runs differing only here share cached results.
+	// loop is partitioned into (0 or 1 = one shard, stepped inline).
+	// Every partition is byte-identical — the knob trades CPUs for wall
+	// time, never results — so it is excluded from Fingerprint and two
+	// runs differing only here share cached results.
 	ShardWorkers int
 
-	// ShardDispatch selects how a sharded fabric schedules each cycle:
-	// adaptive occupancy hysteresis (default), always sharded, or
-	// always serial. Scheduling-only like ShardWorkers — byte-identical
+	// ShardDispatch selects how a sharded fabric schedules each cycle's
+	// shard rounds: adaptive occupancy hysteresis (default), always
+	// concurrent on the workers, or always inline on the stepping
+	// goroutine. Scheduling-only like ShardWorkers — byte-identical
 	// results either way — so it too is excluded from Fingerprint.
 	ShardDispatch router.DispatchPolicy
 

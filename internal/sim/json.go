@@ -54,8 +54,8 @@ type configJSON struct {
 	Scheme schemeJSON `json:"scheme"`
 
 	// shard_workers and shard_dispatch are carried on the wire (a spec
-	// can pin them) but are excluded from Fingerprint: sharded stepping
-	// is byte-identical to serial, so they must not split the result
+	// can pin them) but are excluded from Fingerprint: every shard
+	// count steps byte-identically, so they must not split the result
 	// cache.
 	ShardWorkers  int                   `json:"shard_workers,omitempty"`
 	ShardDispatch router.DispatchPolicy `json:"shard_dispatch,omitempty"`
@@ -263,8 +263,8 @@ func (c *Config) UnmarshalJSON(data []byte) error {
 // keys the result cache and the spec-integrity checks. Configs with no
 // wire form (live Schedule, custom throttler) have no fingerprint.
 //
-// ShardWorkers and ShardDispatch are zeroed before hashing: sharded
-// stepping is byte-identical to serial, so runs differing only in
+// ShardWorkers and ShardDispatch are zeroed before hashing: every shard
+// count steps byte-identically, so runs differing only in
 // worker count or dispatch policy are the same experiment and must
 // share cache entries.
 func (c Config) Fingerprint() (string, error) {

@@ -134,14 +134,16 @@ const (
 // scheduling — results are byte-identical under every setting, and
 // Config.Fingerprint ignores it.
 const (
-	// DispatchAdaptive (the default) steps serially on quiet cycles and
-	// shards once the active population crosses the hysteresis band; it
-	// never shards on a single-CPU host.
+	// DispatchAdaptive (the default) runs the shard rounds inline on
+	// quiet cycles and on the shard workers once the active population
+	// crosses the hysteresis band; it never uses the workers on a
+	// single-CPU host.
 	DispatchAdaptive = router.DispatchAdaptive
-	// DispatchSharded always runs the parallel rounds (when ShardWorkers
-	// gives the fabric more than one shard).
+	// DispatchSharded always runs the rounds on the shard workers (when
+	// ShardWorkers gives the fabric more than one shard).
 	DispatchSharded = router.DispatchSharded
-	// DispatchSerial always steps serially.
+	// DispatchSerial always runs the shard rounds inline, one after
+	// another on the stepping goroutine.
 	DispatchSerial = router.DispatchSerial
 )
 
